@@ -17,8 +17,12 @@ tour and deposits nothing.
 
 All ants of an iteration are constructed in lockstep on numpy arrays; the
 same engine runs single constructions (construct_tour) with a batch of one.
-Randomness comes from random.Random (the stdlib Mersenne twister), so runs
-are reproducible per seed across platforms.
+The closed tours of an iteration are costed together, row by row, with the
+same arithmetic as tour_cost. Incomplete walks are costed only while no
+complete tour has been found (the best of them is returned when none ever
+is) or when solve is traced. Randomness comes from random.Random (the stdlib
+Mersenne twister), so a seed maps to the same tours on any platform whose
+numpy build gives the same floating-point results.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, Tour, path_metrics, tour_cost
+from .energy import EnergyModel, Tour, path_metrics, path_metrics_rows, tour_cost
 from .routegraph import RouteGraph
 
 MAX_DEFAULT_ANTS = 50
@@ -78,9 +82,13 @@ class SolverRun:
 
 
 class _Space:
-    """Precomputed arrays for fast construction on one graph + model."""
+    """Precomputed arrays for fast construction on one graph + model.
 
-    def __init__(self, g: RouteGraph, model: EnergyModel, beta: float):
+    With beta None only the heading geometry is set up (theta_rows), not the
+    heuristic table that eta_pow_rows reads.
+    """
+
+    def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None):
         if not model.lambda_kj_per_m > 0:
             raise ValueError("solver needs a positive distance coefficient")
         n = g.n_nodes
@@ -98,7 +106,7 @@ class _Space:
         # lambda * d with pruned pairs at infinity so their weight vanishes
         self.den = np.where(g.adj, model.lambda_kj_per_m * d, np.inf)
         self.eta_pow = None
-        if n <= _TABLE_NODE_LIMIT:
+        if beta is not None and n <= _TABLE_NODE_LIMIT:
             theta = self._theta_table()
             den_ext = np.empty((n + 1, n, n))
             den_ext[:n] = self.den[None, :, :] + self.gamma * theta
@@ -149,9 +157,11 @@ def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
-                     rng: random.Random) -> list[tuple[tuple[int, ...], bool]]:
-    """Run m ants in lockstep. Returns (nodes, complete) per ant, in ant
-    order; complete means all waypoints visited and the loop closed at home.
+                     rng: random.Random) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run m ants in lockstep. Returns (paths, lengths, closed), row k for
+    ant k: ant k walked paths[k, :lengths[k]], and closed[k] means it visited
+    every waypoint and closed the loop at home (then lengths[k] is the full
+    row, n_waypoints + 2).
 
     Random draws happen once per construction step for the ants still walking,
     in ascending ant order, so results are reproducible for a given rng state.
@@ -202,16 +212,9 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
         paths[rows, filled[rows]] = nxt
         filled[rows] += 1
 
-    out = []
-    for k in range(m):
-        full = alive[k]
-        closed = full and bool(space.adj[cur[k], home])
-        if closed:
-            nodes = tuple(int(v) for v in paths[k])
-        else:
-            nodes = tuple(int(v) for v in paths[k, :filled[k]])
-        out.append((nodes, closed))
-    return out
+    closed = alive & space.adj[cur, home]
+    lengths = np.where(closed, n_way + 2, filled)
+    return paths, lengths, closed
 
 
 def _resolve(g: RouteGraph, params: AcoParams) -> tuple[int, float]:
@@ -224,36 +227,66 @@ def _resolve(g: RouteGraph, params: AcoParams) -> tuple[int, float]:
     return n_ants, rho
 
 
-def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel) -> float:
+def _tour_costs(space: _Space, lam: float, gam: float, tours: np.ndarray) -> np.ndarray:
+    """Energy of each row of an (m, k) array of equal-length node walks,
+    bit for bit what tour_cost gives for the same walk."""
+    dist, turn = path_metrics_rows(space.xy[tours])
+    return lam * dist + gam * turn
+
+
+def _walk_cost(space: _Space, lam: float, gam: float, nodes: np.ndarray) -> float:
+    """Energy of one node walk of any length; inf below two nodes."""
+    if len(nodes) < 2:
+        return math.inf
+    dist, turn = path_metrics(space.xy[nodes])
+    return lam * dist + gam * turn
+
+
+def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
+                           space: _Space | None = None) -> float:
     """Mean cost of greedy closed tours, one per start node.
 
     Greedy by the turn-aware hop cost; pruned edges fall back to the straight
     line, since the figure is only used as a magnitude reference for deposits
-    and initial trail levels.
+    and initial trail levels. All starts walk in lockstep. space, when given,
+    is the caller's precomputed _Space for the same graph and model.
     """
-    space = _Space(g, model, beta=1.0)
+    if space is None:
+        space = _Space(g, model, beta=None)
     lam, gam = model.lambda_kj_per_m, model.gamma_kj_per_deg
     n = g.n_nodes
+    starts = np.arange(n)
+    walks = np.empty((n, n + 1), dtype=np.int64)
+    walks[:, 0] = starts
+    lengths = np.ones(n, dtype=np.int64)  # nodes walked so far, per start
+    seen = np.eye(n, dtype=bool)
+    cur, prev = starts.copy(), np.full(n, -1)
+    rows = starts  # starts still walking
+    for step in range(1, n):
+        c = cur[rows]
+        hop = lam * g.dist[c] + gam * space.theta_rows(prev[rows], c)
+        hop[seen[rows]] = np.inf
+        hop[g.dist[c] == 0.0] = np.inf  # coincident nodes are not hops
+        nxt = np.argmin(hop, axis=1)
+        moved = np.isfinite(hop[np.arange(rows.size), nxt])
+        rows, nxt = rows[moved], nxt[moved]
+        if rows.size == 0:
+            break
+        seen[rows, nxt] = True
+        walks[rows, step] = nxt
+        lengths[rows] += 1
+        prev[rows] = cur[rows]
+        cur[rows] = nxt
+    walks[starts, lengths] = starts  # close every walk at its start
+
+    costs = np.zeros(n)
+    full = lengths == n
+    costs[full] = _tour_costs(space, lam, gam, walks[full])
+    for k in np.nonzero(~full & (lengths > 1))[0]:
+        costs[k] = _walk_cost(space, lam, gam, walks[k, :lengths[k] + 1])
     total = 0.0
-    for start in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[start] = True
-        order = [start]
-        cur, prev = start, -1
-        for _ in range(n - 1):
-            hop = lam * g.dist[cur] + gam * space.theta_rows(
-                np.array([prev]), np.array([cur]))[0]
-            hop[seen] = np.inf
-            hop[g.dist[cur] == 0.0] = np.inf  # coincident nodes are not hops
-            nxt = int(np.argmin(hop))
-            if not np.isfinite(hop[nxt]):
-                break
-            seen[nxt] = True
-            order.append(nxt)
-            prev, cur = cur, nxt
-        if len(order) > 1:
-            dist, turn = path_metrics(space.xy[order + [start]])
-            total += lam * dist + gam * turn
+    for cost in costs.tolist():  # a running sum in start order
+        total += cost
     return total / n
 
 
@@ -266,8 +299,8 @@ def construct_tour(g: RouteGraph, model: EnergyModel, tau: np.ndarray,
         raise ValueError(f"tau must have shape ({n}, {n}), got {tau.shape}")
     space = _Space(g, model, params.beta)
     tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
-    ((nodes, complete),) = _construct_batch(space, 1, tau_pow, rng)
-    return _as_tour(g, model, nodes, complete)
+    paths, lengths, closed = _construct_batch(space, 1, tau_pow, rng)
+    return _as_tour(g, model, tuple(paths[0, :lengths[0]].tolist()), bool(closed[0]))
 
 
 def _as_tour(g: RouteGraph, model: EnergyModel, nodes: tuple[int, ...],
@@ -287,8 +320,11 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     trace, when given, is called after every iteration as
     trace(iteration, tau_copy, bounds, ants) with bounds = (tau_min, tau_max)
     for MMAS (None for AS) and ants = [(nodes, cost_kj, complete), ...] in
-    construction order. Tracing copies the trail matrix, so leave it None for
-    production runs.
+    construction order (cost_kj is inf for a walk of one node). Tracing
+    copies the trail matrix and costs every incomplete walk, so leave it None
+    for production runs. Untraced, incomplete walks are costed only while no
+    complete tour has been found: the best of them is the fallback result
+    when none ever is. Tracing changes no tour or cost.
     """
     if g.n_waypoints == 0:
         raise ValueError("graph has no waypoints to cover")
@@ -298,7 +334,10 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     rng = random.Random(params.seed)
     lam, gam = model.lambda_kj_per_m, model.gamma_kj_per_deg
 
-    q = params.q_deposit if params.q_deposit is not None else nearest_neighbour_cost(g, model)
+    if params.q_deposit is not None:
+        q = params.q_deposit
+    else:
+        q = nearest_neighbour_cost(g, model, space)
     if params.variant == "AS":
         tau = np.full((n, n), n_ants / q)
     else:
@@ -313,31 +352,29 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
 
     for it in range(params.n_iterations):
         tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
-        ants = _construct_batch(space, n_ants, tau_pow, rng)
-        costed = []
-        for nodes, complete in ants:
-            if len(nodes) < 2:
-                costed.append((nodes, math.inf, False))
-                continue
-            dist, turn = path_metrics(space.xy[list(nodes)])
-            cost = lam * dist + gam * turn
-            costed.append((nodes, cost, complete))
-            if complete:
-                if cost < best_cost:
-                    best_nodes, best_cost = nodes, cost
-            elif cost < fallback_cost:
-                fallback_nodes, fallback_cost = nodes, cost
+        paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, rng)
+        tours = paths[closed]
+        costs = _tour_costs(space, lam, gam, tours)
+        if costs.size:
+            k = int(np.argmin(costs))  # first of equals, as a scan in ant order
+            if costs[k] < best_cost:
+                best_nodes, best_cost = tuple(tours[k].tolist()), float(costs[k])
+        walk_costs = {}
+        if trace is not None or best_nodes is None:
+            for k in np.nonzero(~closed)[0].tolist():
+                walk = paths[k, :lengths[k]]
+                walk_costs[k] = cost = _walk_cost(space, lam, gam, walk)
+                if cost < fallback_cost:
+                    fallback_nodes, fallback_cost = tuple(walk.tolist()), cost
         history.append(best_cost)
 
         tau *= (1.0 - rho)
         if params.variant == "AS":
-            for nodes, cost, complete in costed:
-                if not complete:
-                    continue
-                a = np.asarray(nodes[:-1])
-                b = np.asarray(nodes[1:])
-                tau[a, b] += q / cost
-                tau[b, a] += q / cost
+            # edges of ant 0 forward, then backward, then ant 1, ...: each
+            # trail cell receives its deposits in ant order
+            a, b = tours[:, :-1], tours[:, 1:]
+            np.add.at(tau, (np.hstack([a, b]).ravel(), np.hstack([b, a]).ravel()),
+                      np.repeat(q / costs, 2 * a.shape[1]))
             bounds = None
         else:
             ref = best_cost if best_nodes is not None else q
@@ -351,7 +388,11 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
             np.clip(tau, tau_min, tau_max, out=tau)
             bounds = (tau_min, tau_max)
         if trace is not None:
-            trace(it, tau.copy(), bounds, costed)
+            closed_costs = iter(costs.tolist())
+            ants = [(tuple(paths[k, :lengths[k]].tolist()),
+                     next(closed_costs) if closed[k] else walk_costs[k], bool(closed[k]))
+                    for k in range(n_ants)]
+            trace(it, tau.copy(), bounds, ants)
 
     if best_nodes is not None:
         best = _as_tour(g, model, best_nodes, True)

@@ -7,8 +7,9 @@ Subcommands:
     render    draw a map, optionally with a planned tour, to SVG
 
 Exit codes: 0 success, 2 schema violation, 3 connectivity failure,
-4 planning failure, 1 anything else. When --seed / --base-seed is omitted the
-GUARD_SEED environment variable is used, then 42.
+4 planning failure, 1 anything else (a missing file, or a bad flag or
+GUARD_SEED value: one "error: ..." line on stderr). When --seed / --base-seed
+is omitted the GUARD_SEED environment variable is used, then 42.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("GUARD_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"GUARD_SEED must be an integer, got {env!r}") from None
 
 
 def _load(args) -> FarmMap:
@@ -63,12 +67,9 @@ def _model(args) -> EnergyModel:
 
 
 def _params(args, seed: int) -> AcoParams:
-    variant = _SOLVER_NAMES[args.solver]
-    if variant not in ("AS", "MMAS"):
-        variant = "AS"  # baseline ignores colony params
-    return AcoParams(variant=variant, n_ants=args.ants,
-                     n_iterations=args.iterations, alpha=args.alpha,
-                     beta=args.beta, rho=args.rho, seed=seed)
+    # plan_fleet takes the variant from the solver name
+    return AcoParams(n_ants=args.ants, n_iterations=args.iterations,
+                     alpha=args.alpha, beta=args.beta, rho=args.rho, seed=seed)
 
 
 def cmd_validate(args) -> int:
@@ -135,8 +136,7 @@ def cmd_bench(args) -> int:
     farm = _load(args)
     base_seed = _resolve_seed(args.base_seed)
     cfg = BenchConfig(n_trials=args.trials, base_seed=base_seed, model=_model(args),
-                      aco=AcoParams(n_ants=args.ants, n_iterations=args.iterations,
-                                    alpha=args.alpha, beta=args.beta, rho=args.rho))
+                      aco=_params(args, base_seed))
     summary, reports, best = run_benchmark(farm, cfg, out_dir=args.out_dir)
     out = Path(args.out_dir)
     w = generate_waypoints(farm)
@@ -256,6 +256,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"map error: map file is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # any other rejected input, e.g. a bad flag or GUARD_SEED
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

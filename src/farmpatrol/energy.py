@@ -57,18 +57,26 @@ def path_metrics(xy: np.ndarray) -> tuple[float, float]:
     xy is an (k, 2) array of vertices; consecutive duplicates are not allowed
     (the turn angle would be undefined there).
     """
-    d = np.diff(np.asarray(xy, dtype=float), axis=0)
-    legs = np.hypot(d[:, 0], d[:, 1])
+    dist, turn = path_metrics_rows(np.asarray(xy, dtype=float)[None])
+    return float(dist[0]), float(turn[0])
+
+
+def path_metrics_rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """path_metrics of each row of an (m, k, 2) stack of equal-length
+    polylines, as two (m,) arrays.
+
+    Each row goes through the same element-wise ops and the same per-row
+    reductions as a single polyline, so row r equals path_metrics(xy[r]).
+    """
+    d = np.diff(xy, axis=1)
+    legs = np.hypot(d[..., 0], d[..., 1])
     if np.any(legs == 0.0):
         raise ValueError("polyline repeats a vertex; turn angle undefined")
-    dist = float(legs.sum())
-    if len(d) < 2:
-        return dist, 0.0
-    u, v = d[:-1], d[1:]
-    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-    dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
-    turn = float(np.degrees(np.arctan2(np.abs(cross), dot)).sum())
-    return dist, turn
+    u, v = d[:, :-1], d[:, 1:]
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    turn = np.degrees(np.arctan2(np.abs(cross), dot)).sum(axis=1)
+    return legs.sum(axis=1), turn
 
 
 def tour_cost(g: RouteGraph, model: EnergyModel, nodes, allow_revisits: bool = False) -> Tour:

@@ -9,7 +9,7 @@ otherwise both stay at 20 m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .aco import AcoParams, SolverRun, solve
 from .baseline import plan_back_and_forth
@@ -124,7 +124,8 @@ def plan_fleet(farm: FarmMap, waypoints: WaypointSet, n_drones: int, solver: str
                params: AcoParams | None = None) -> FleetPlan:
     """Plan coverage with 1 or 2 drones using the named solver.
 
-    solver is one of "back-and-forth", "AS" or "MMAS". params.seed seeds the
+    solver is one of "back-and-forth", "AS" or "MMAS"; it overrides
+    params.variant, and the baseline ignores params. params.seed seeds the
     colony; drone k of an n-drone plan derives seed * n_drones + k so the two
     colonies explore independently but reproducibly.
     """
@@ -143,12 +144,7 @@ def plan_fleet(farm: FarmMap, waypoints: WaypointSet, n_drones: int, solver: str
             tour = plan_back_and_forth(g, model, waypoints)
             run = None
         else:
-            # dataclass replace would also reset defaults; be explicit
-            drone_params = AcoParams(
-                variant=solver, n_ants=params.n_ants,
-                n_iterations=params.n_iterations, alpha=params.alpha,
-                beta=params.beta, rho=params.rho, q_deposit=params.q_deposit,
-                seed=params.seed * n_drones + k)
+            drone_params = replace(params, variant=solver, seed=params.seed * n_drones + k)
             run = solve(g, model, drone_params)
             tour = run.best_tour
         drones.append(DronePlan(k, tuple(subset), BASE_ALTITUDE_M, tour, g, run))

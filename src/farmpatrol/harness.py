@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .aco import AcoParams
@@ -193,11 +193,7 @@ def run_benchmark(farm: FarmMap, config: BenchConfig | None = None,
             else:
                 seeds = [config.base_seed + i for i in range(config.n_trials)]
             for seed in seeds:
-                params = AcoParams(
-                    variant=solver if solver != "back-and-forth" else "AS",
-                    n_ants=config.aco.n_ants, n_iterations=config.aco.n_iterations,
-                    alpha=config.aco.alpha, beta=config.aco.beta,
-                    rho=config.aco.rho, q_deposit=config.aco.q_deposit, seed=seed)
+                params = replace(config.aco, seed=seed)  # plan_fleet sets the variant
                 t0 = time.perf_counter()
                 try:
                     plan = plan_fleet(farm, waypoints, n_drones, solver,

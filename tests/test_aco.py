@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from farmpatrol import aco
 from farmpatrol.aco import (
     AcoParams, construct_tour, nearest_neighbour_cost, solve,
 )
-from farmpatrol.energy import EnergyModel
+from farmpatrol.energy import EnergyModel, tour_cost
 from farmpatrol.geometry import Point2D
 from farmpatrol.routegraph import RouteGraph, build_graph
 from farmpatrol.world import FarmMap, generate_waypoints
@@ -39,6 +40,16 @@ def open_map(width=100, height=100, station=(-10, 0), spacing=38.0):
     m = FarmMap(Point2D(0, 0), Point2D(width, height), (),
                 (Point2D(*station),), 10.0, spacing)
     return m, generate_waypoints(m)
+
+
+def random_graph(n, seed, keep=0.5):
+    """n seeded random nodes (home last) with each pair kept as an edge
+    with probability keep, plus every home edge."""
+    rng = random.Random(seed)
+    pts = [(rng.uniform(0, 300), rng.uniform(0, 200)) for _ in range(n)]
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if b == n - 1 or rng.random() < keep]
+    return graph_from(pts[:-1], pts[-1], edges)
 
 
 def star_graph():
@@ -256,3 +267,57 @@ def test_solver_requires_positive_lambda():
     g = star_graph()
     with pytest.raises(ValueError, match="positive distance"):
         solve(g, EnergyModel(0.0, 0.0173), AcoParams(n_iterations=1))
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (40, 2), (aco._TABLE_NODE_LIMIT + 5, 3)])
+def test_nearest_neighbour_cost_matches_scalar_greedy_oracle(n, seed):
+    g = random_graph(n, seed)
+    assert not g.adj[~np.eye(n, dtype=bool)].all()  # some edges pruned
+    want = oracles.greedy_tour_mean_cost(g.xy.tolist(), MODEL.lambda_kj_per_m,
+                                         MODEL.gamma_kj_per_deg)
+    assert nearest_neighbour_cost(g, MODEL) == pytest.approx(want, rel=1e-12)
+
+
+def test_solve_reuses_its_space_for_the_greedy_reference(monkeypatch):
+    g = random_graph(30, 4)
+    want = nearest_neighbour_cost(g, MODEL)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return nearest_neighbour_cost(*args)
+
+    monkeypatch.setattr(aco, "nearest_neighbour_cost", spy)
+    solve(g, MODEL, AcoParams(n_ants=4, n_iterations=1))
+    ((_, _, space),) = calls
+    assert space.eta_pow is not None  # the solve's own space, table and all
+    assert nearest_neighbour_cost(g, MODEL, space) == want
+
+
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+def test_traced_ant_costs_equal_tour_cost(variant):
+    g = random_graph(25, 5, keep=0.4)
+    params = AcoParams(variant=variant, n_ants=12, n_iterations=30, seed=8)
+    seen = {"complete": 0, "incomplete": 0}
+    running_best = [math.inf]  # min over all complete ants so far, per iteration
+
+    def check(it, tau, bounds, ants):
+        assert len(ants) == params.n_ants
+        running_best.append(running_best[-1])
+        for nodes, cost, complete in ants:
+            if complete:
+                assert cost == tour_cost(g, MODEL, nodes).cost_kj
+                running_best[-1] = min(running_best[-1], cost)
+                seen["complete"] += 1
+            else:
+                seen["incomplete"] += 1
+                want = math.inf if len(nodes) < 2 else oracles.polyline_cost(
+                    g.xy[list(nodes)].tolist(), MODEL.lambda_kj_per_m, MODEL.gamma_kj_per_deg)
+                assert cost == pytest.approx(want, rel=1e-12)
+
+    traced = solve(g, MODEL, params, trace=check)
+    assert seen["complete"] and seen["incomplete"]  # both kinds exercised
+    assert traced.best_cost_history == tuple(running_best[1:])
+    plain = solve(g, MODEL, params)
+    assert traced.best_cost_history == plain.best_cost_history
+    assert traced.best_tour == plain.best_tour

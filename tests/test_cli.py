@@ -162,3 +162,24 @@ def test_plan_determinism_across_runs(farm_file, tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("command", ["plan", "bench"])
+@pytest.mark.parametrize("flags,env,message", [
+    (["--rho", "2"], None, "rho"),
+    (["--lambda", "-1"], None, "lambda_kj_per_m"),
+    (["--ants", "0"], None, "n_ants"),
+    ([], "x", "GUARD_SEED"),
+])
+def test_bad_flag_or_env_is_one_error_line(farm_file, tmp_path, monkeypatch, capsys,
+                                           command, flags, env, message):
+    if env is None:
+        monkeypatch.delenv("GUARD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GUARD_SEED", env)
+    out = ["--out", str(tmp_path / "x.json")] if command == "plan" \
+        else ["--out-dir", str(tmp_path / "bench"), "--trials", "1"]
+    assert main([command, farm_file, "--iterations", "5", *out, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
