@@ -84,8 +84,12 @@ class SolverRun:
 class _Space:
     """Precomputed arrays for fast construction on one graph + model.
 
-    With beta None only the heading geometry is set up (theta_rows), not the
-    heuristic table that eta_pow_rows reads.
+    eta_pow_rows computes eta^beta rows on the fly from den and theta_rows.
+    Up to _TABLE_NODE_LIMIT nodes it also caches them all in eta_pow, an
+    (n + 1, n, n) table filled by that same formula one approach node h at a
+    time: eta_pow[h, i] is the row for the hop out of i coming from h, and
+    the last slot, read as h = -1, holds the rows with no heading yet. With
+    beta None only the heading geometry is set up (theta_rows), no table.
     """
 
     def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None):
@@ -107,25 +111,17 @@ class _Space:
         self.den = np.where(g.adj, model.lambda_kj_per_m * d, np.inf)
         self.eta_pow = None
         if beta is not None and n <= _TABLE_NODE_LIMIT:
-            theta = self._theta_table()
-            den_ext = np.empty((n + 1, n, n))
-            den_ext[:n] = self.den[None, :, :] + self.gamma * theta
-            den_ext[n] = self.den  # slot for "no approach heading yet"
-            self.eta_pow = _pow_eta(den_ext, beta)
-
-    def _theta_table(self) -> np.ndarray:
-        # theta[h, i, j]: heading change at i coming from h and leaving to j
-        ux, uy = self.ux, self.uy
-        cross = np.abs(ux[:, :, None] * uy[None, :, :] - uy[:, :, None] * ux[None, :, :])
-        dot = ux[:, :, None] * ux[None, :, :] + uy[:, :, None] * uy[None, :, :]
-        return np.degrees(np.arctan2(cross, dot))
+            table = np.empty((n + 1, n, n))
+            nodes = np.arange(n)
+            for h in range(-1, n):
+                table[h] = self.eta_pow_rows(np.full(n, h), nodes)
+            self.eta_pow = table
 
     def theta_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """(m, n) heading changes at i[k] from heading h[k]->i[k]; zero rows
         where h[k] < 0 (no history)."""
-        hs = np.where(h < 0, 0, h)
-        ux_in = self.ux[hs, i][:, None]
-        uy_in = self.uy[hs, i][:, None]
+        ux_in = self.ux[h, i][:, None]
+        uy_in = self.uy[h, i][:, None]
         cross = np.abs(ux_in * self.uy[i] - uy_in * self.ux[i])
         dot = ux_in * self.ux[i] + uy_in * self.uy[i]
         out = np.degrees(np.arctan2(cross, dot))
@@ -135,8 +131,7 @@ class _Space:
     def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """(m, n) values of eta^beta for hops i[k] -> j given history h[k]."""
         if self.eta_pow is not None:
-            hs = np.where(h < 0, self.n, h)
-            return self.eta_pow[hs, i]
+            return self.eta_pow[h, i]
         return _pow_eta(self.den[i] + self.gamma * self.theta_rows(h, i), self.beta)
 
 
@@ -259,7 +254,7 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
     walks = np.empty((n, n + 1), dtype=np.int64)
     walks[:, 0] = starts
     lengths = np.ones(n, dtype=np.int64)  # nodes walked so far, per start
-    seen = np.eye(n, dtype=bool)
+    seen = g.dist == 0.0  # never step onto a node that coincides with the start
     cur, prev = starts.copy(), np.full(n, -1)
     rows = starts  # starts still walking
     for step in range(1, n):

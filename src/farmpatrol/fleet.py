@@ -151,7 +151,5 @@ def plan_fleet(farm: FarmMap, waypoints: WaypointSet, n_drones: int, solver: str
 
     if n_drones == 2 and _tours_cross(drones[0].tour, drones[0].graph,
                                       drones[1].tour, drones[1].graph):
-        drones[1] = DronePlan(drones[1].station, drones[1].waypoint_ids,
-                              SEPARATED_ALTITUDE_M, drones[1].tour,
-                              drones[1].graph, drones[1].run)
+        drones[1] = replace(drones[1], altitude_m=SEPARATED_ALTITUDE_M)
     return FleetPlan(solver, tuple(drones))

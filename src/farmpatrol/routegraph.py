@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -24,11 +24,6 @@ class DisconnectedGraphError(ValueError):
     def __init__(self, message: str, unreachable: tuple[int, ...]):
         super().__init__(message)
         self.unreachable = unreachable
-
-
-class NodeId(NamedTuple):
-    index: int
-    kind: str  # "waypoint" or "station"
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -53,10 +48,6 @@ class RouteGraph:
 
     def point(self, node: int) -> Point2D:
         return Point2D(float(self.xy[node, 0]), float(self.xy[node, 1]))
-
-    def node_id(self, node: int) -> NodeId:
-        kind = "waypoint" if node < self.n_waypoints else "station"
-        return NodeId(node, kind)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i, j])

@@ -99,15 +99,18 @@ def greedy_tour_mean_cost(points, lam, gam):
     From the start, each hop goes to the unvisited point with the lowest
     lam * length + gam * heading change at the current point (no heading
     change on the first hop), ties to the lower index; points at zero
-    distance from the current one are never hops. The walk ends when no
-    point is left and returns to its start. Edges are not consulted: every
-    pair counts as a straight leg. A start with no hop at all adds nothing
-    to the sum, but still counts in the mean.
+    distance from the current one are never hops, and points at zero
+    distance from the start are never visited, so the walk cannot close on
+    a zero-length leg. The walk ends when no point is left and returns to
+    its start. Edges are not consulted: every pair counts as a straight leg.
+    A start with no hop at all adds nothing to the sum, but still counts in
+    the mean.
     """
     n = len(points)
     total = 0.0
     for start in range(n):
-        order, seen = [start], {start}
+        order = [start]
+        seen = {j for j in range(n) if points[j] == points[start]}
         while len(order) < n:
             x0, y0 = points[order[-1]]
             best = None

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -237,15 +238,36 @@ def test_mmas_bound_formula():
     assert tau_min == pytest.approx(tau_max / (2 * g.n_nodes), rel=1e-12)
 
 
-def test_heuristic_table_and_streaming_paths_agree(monkeypatch):
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.5, 3.0])
+def test_heuristic_table_and_streaming_paths_agree(monkeypatch, beta):
     m, w = open_map()
     g = build_graph(m, w, 0)
-    p = AcoParams(n_ants=6, n_iterations=25, seed=13)
+    n = g.n_nodes
+    p = AcoParams(n_ants=6, n_iterations=25, seed=13, beta=beta)
+    table = aco._Space(g, MODEL, beta).eta_pow
     with_table = solve(g, MODEL, p)
     monkeypatch.setattr("farmpatrol.aco._TABLE_NODE_LIMIT", -1)
+    streaming = aco._Space(g, MODEL, beta)
+    assert streaming.eta_pow is None
     without_table = solve(g, MODEL, p)
     assert with_table.best_tour == without_table.best_tour
     assert with_table.best_cost_history == without_table.best_cost_history
+    # every (h, i) row, h = -1 (no heading yet) included, bit for bit
+    h = np.repeat(np.arange(-1, n), n)
+    i = np.tile(np.arange(n), n + 1)
+    assert np.array_equal(table[h, i], streaming.eta_pow_rows(h, i))
+
+
+def test_heuristic_table_build_peaks_at_the_table_size():
+    g = random_graph(80, 3)
+    tracemalloc.start()
+    try:
+        space = aco._Space(g, MODEL, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.eta_pow.shape == (81, 80, 80)
+    assert peak < 1.5 * space.eta_pow.nbytes
 
 
 def test_nearest_neighbour_cost_single_waypoint():
@@ -321,3 +343,18 @@ def test_traced_ant_costs_equal_tour_cost(variant):
     plain = solve(g, MODEL, params)
     assert traced.best_cost_history == plain.best_cost_history
     assert traced.best_tour == plain.best_tour
+
+
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+def test_solve_with_the_station_on_a_waypoint(variant):
+    # the station coincides with the grid waypoint at (20, 20): no greedy
+    # walk may close on that zero-length leg
+    m = FarmMap(Point2D(0, 0), Point2D(60, 60), (), (Point2D(20, 20),), 0.0, 20.0)
+    g = build_graph(m, generate_waypoints(m), 0)
+    assert (g.dist[g.home, :g.home] == 0.0).sum() == 1
+    want = oracles.greedy_tour_mean_cost(g.xy.tolist(), MODEL.lambda_kj_per_m,
+                                         MODEL.gamma_kj_per_deg)
+    assert nearest_neighbour_cost(g, MODEL) == pytest.approx(want, rel=1e-12)
+    run = solve(g, MODEL, AcoParams(variant=variant, n_iterations=5))
+    assert run.valid
+    assert run.best_tour == tour_cost(g, MODEL, run.best_tour.nodes)

@@ -56,6 +56,14 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_plan_with_the_station_on_a_waypoint(tmp_path, capsys):
+    p = write_map(tmp_path / "farm.json", stations=[[20, 20]], clearance_m=0.0)
+    out = tmp_path / "tour.json"
+    code = main(["plan", p, "--iterations", "5", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["valid"] is True
+
+
 def test_plan_writes_export_and_svg(farm_file, tmp_path, capsys):
     out = tmp_path / "tour.json"
     svg = tmp_path / "tour.svg"

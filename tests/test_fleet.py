@@ -162,3 +162,11 @@ def test_fleet_totals_are_sums():
         sum(d.tour.cost_kj for d in plan.drones), rel=1e-15)
     assert plan.total_distance_m == pytest.approx(
         sum(d.tour.total_distance_m for d in plan.drones), rel=1e-15)
+
+
+def test_plan_fleet_with_the_station_on_a_waypoint():
+    m = FarmMap(Point2D(0, 0), Point2D(60, 60), (), (Point2D(20, 20),), 0.0, 20.0)
+    w = generate_waypoints(m)
+    plan = plan_fleet(m, w, 1, "MMAS", MODEL, AcoParams(n_iterations=5))
+    assert plan.valid
+    assert set(plan.drones[0].waypoint_ids) == set(w.valid_indices())

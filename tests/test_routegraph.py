@@ -38,8 +38,6 @@ def test_obstacle_free_grid_is_complete():
     assert g.n_waypoints == 9
     assert len(g.edges()) == 45
     assert g.home == 9
-    assert g.node_id(0).kind == "waypoint"
-    assert g.node_id(9).kind == "station"
 
 
 def test_central_obstacle_prunes_crossing_edges():
