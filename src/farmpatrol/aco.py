@@ -20,15 +20,21 @@ same engine runs single constructions (construct_tour) with a batch of one.
 The closed tours of an iteration are costed together, row by row, with the
 same arithmetic as tour_cost. Incomplete walks are costed only while no
 complete tour has been found (the best of them is returned when none ever
-is) or when solve is traced. Randomness comes from random.Random (the stdlib
-Mersenne twister), so a seed maps to the same tours on any platform whose
-numpy build gives the same floating-point results.
+is) or when solve is traced.
+
+Randomness is CPython's random.Random (the stdlib Mersenne twister) stream
+of random() values, one per walking ant per step. solve owns its
+random.Random(seed) and draws that stream in blocks (_Uniforms), bit for bit
+the values successive random() calls give; construct_tour calls random() on
+the caller's rng, one value at a time. So a seed maps to the same tours on
+any platform whose numpy build gives the same floating-point results.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,8 @@ from .routegraph import RouteGraph
 MAX_DEFAULT_ANTS = 50
 # full (h, i, j) heuristic tables are only built while they stay small
 _TABLE_NODE_LIMIT = 150
+# uniforms a solve draws from its rng per getrandbits call
+_DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,13 +80,17 @@ class AcoParams:
 @dataclass(frozen=True, slots=True)
 class SolverRun:
     """Outcome of one solve: the best tour, the per-iteration best-valid cost
-    trace (inf before the first valid tour appears) and bookkeeping."""
+    trace (inf before the first valid tour appears) and bookkeeping.
+
+    best_iteration is the 1-based iteration that found best_tour, or 0 when
+    no ant completed a tour (best_tour is then the best incomplete walk).
+    """
 
     best_tour: Tour
     best_cost_history: tuple[float, ...]
     valid: bool
     seed: int
-    iterations_executed: int
+    best_iteration: int
 
 
 class _Space:
@@ -151,64 +163,116 @@ def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
     return np.power(inv, beta)
 
 
+class _Uniforms:
+    """The stream of rng.random() values, drawn in blocks.
+
+    take(k) returns the next k values of the stream, bit for bit what k
+    successive rng.random() calls would return, but draws them _DRAW_BLOCK
+    at a time with one getrandbits call. The rng runs ahead of the values
+    served, so the owner must draw from it through take alone.
+    """
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._buf = np.empty(0)
+        self._pos = 0
+
+    def take(self, k: int) -> np.ndarray:
+        if self._pos + k > self._buf.size:
+            rest = self._buf[self._pos:]
+            block = _uniform_block(self._rng, max(_DRAW_BLOCK, k - rest.size))
+            self._buf = np.concatenate([rest, block])
+            self._pos = 0
+        out = self._buf[self._pos:self._pos + k]
+        self._pos += k
+        return out
+
+
+def _uniform_block(rng: random.Random, k: int) -> np.ndarray:
+    """The next k values of rng.random(), from one getrandbits(64 k) call.
+
+    random() turns two successive 32-bit Mersenne twister words (w0, w1)
+    into ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53; getrandbits lays the same
+    words out least significant first.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
 def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
-                     rng: random.Random) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     draw: Callable[[int], np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run m ants in lockstep. Returns (paths, lengths, closed), row k for
     ant k: ant k walked paths[k, :lengths[k]], and closed[k] means it visited
     every waypoint and closed the loop at home (then lengths[k] is the full
     row, n_waypoints + 2).
 
-    Random draws happen once per construction step for the ants still walking,
-    in ascending ant order, so results are reproducible for a given rng state.
+    draw(k) returns k uniforms in [0, 1). It is called once per construction
+    step with k the number of ants still walking, whose draws are taken in
+    ascending ant order, so results are reproducible for a given stream.
+
+    Only the walking ants' state is kept, compacted: node, previous node,
+    path so far and a 0/1 float mask of unvisited nodes that is multiplied
+    into the weights. It shrinks only on a step where an ant strands, which
+    is when that ant's walk is copied out.
     """
     n, home = space.n, space.home
     n_way = home
-    visited = np.zeros((m, n), dtype=bool)
-    visited[:, home] = True
+    paths = np.empty((m, n_way + 2), dtype=np.int64)
+    lengths = np.full(m, n_way + 1)
+    ids = np.arange(m)  # ant number of each walking ant
+    walk = np.full((m, n_way + 2), home, dtype=np.int64)
+    free = np.ones((m, n))
+    free[:, home] = 0.0
     cur = np.full(m, home)
     prev = np.full(m, -1)
-    paths = np.full((m, n_way + 2), home, dtype=np.int64)
-    filled = np.ones(m, dtype=np.int64)  # next free slot in paths
-    alive = np.ones(m, dtype=bool)
+    rows = np.arange(m)  # row numbers of the compacted state
 
-    for _ in range(n_way):
-        rows = np.nonzero(alive)[0]
-        if rows.size == 0:
-            break
-        w = tau_pow[cur[rows]] * space.eta_pow_rows(prev[rows], cur[rows])
-        w[visited[rows]] = 0.0
+    for step in range(1, n_way + 1):
+        w = space.eta_pow_rows(prev, cur)
+        w *= tau_pow.take(cur, axis=0)
+        w *= free
         tot = w.sum(axis=1)
-        empty = tot <= 0.0
-        if empty.any():
-            # no weight left: dead end, or every option underflowed to zero
-            feas = space.adj[cur[rows]] & ~visited[rows]
-            rescue = empty & feas.any(axis=1)
-            if rescue.any():
-                w[rescue] = feas[rescue].astype(float)  # uniform fallback
-                tot = w.sum(axis=1)
-            dead = empty & ~rescue
-            if dead.any():
-                alive[rows[dead]] = False
-                rows = rows[~dead]
-                w, tot = w[~dead], tot[~dead]
-        if rows.size == 0:
-            continue
-        r = np.array([rng.random() for _ in range(rows.size)]) * tot
-        csum = np.cumsum(w, axis=1)
+        if not tot.min() > 0.0:
+            # some row has no positive total: a dead end, every option
+            # underflowed to zero, or an infinite weight (coincident nodes)
+            # turned into nan on a visited node; zero the visited nodes
+            # outright and look again
+            w[free == 0.0] = 0.0
+            tot = w.sum(axis=1)
+            empty = tot <= 0.0
+            if empty.any():
+                feas = space.adj[cur] & (free > 0.0)
+                rescue = empty & feas.any(axis=1)
+                if rescue.any():
+                    w[rescue] = feas[rescue]  # uniform fallback
+                    tot = w.sum(axis=1)
+                dead = empty & ~rescue
+                if dead.any():
+                    paths[ids[dead]] = walk[dead]
+                    lengths[ids[dead]] = step
+                    keep = ~dead
+                    ids, walk, free, cur, prev, w, tot = (
+                        a[keep] for a in (ids, walk, free, cur, prev, w, tot))
+                    rows = np.arange(ids.size)
+                    if ids.size == 0:
+                        break
+        r = draw(ids.size) * tot
+        csum = np.add.accumulate(w, axis=1)
         nxt = (csum > r[:, None]).argmax(axis=1)
         # guard the rare rounding case r >= csum[-1]: take the last option
         overshoot = csum[:, -1] <= r
         if overshoot.any():
             last = n - 1 - np.argmax(w[:, ::-1] > 0, axis=1)
             nxt = np.where(overshoot, last, nxt)
-        visited[rows, nxt] = True
-        prev[rows] = cur[rows]
-        cur[rows] = nxt
-        paths[rows, filled[rows]] = nxt
-        filled[rows] += 1
+        free[rows, nxt] = 0.0
+        walk[:, step] = nxt
+        prev, cur = cur, nxt
 
-    closed = alive & space.adj[cur, home]
-    lengths = np.where(closed, n_way + 2, filled)
+    paths[ids] = walk
+    closed = np.zeros(m, dtype=bool)
+    closed[ids] = space.adj[cur, home]
+    lengths[closed] = n_way + 2
     return paths, lengths, closed
 
 
@@ -294,7 +358,8 @@ def construct_tour(g: RouteGraph, model: EnergyModel, tau: np.ndarray,
         raise ValueError(f"tau must have shape ({n}, {n}), got {tau.shape}")
     space = _Space(g, model, params.beta)
     tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
-    paths, lengths, closed = _construct_batch(space, 1, tau_pow, rng)
+    paths, lengths, closed = _construct_batch(
+        space, 1, tau_pow, lambda k: np.array([rng.random() for _ in range(k)]))
     return _as_tour(g, model, tuple(paths[0, :lengths[0]].tolist()), bool(closed[0]))
 
 
@@ -326,7 +391,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     n = g.n_nodes
     n_ants, rho = _resolve(g, params)
     space = _Space(g, model, params.beta)
-    rng = random.Random(params.seed)
+    draw = _Uniforms(random.Random(params.seed)).take
     lam, gam = model.lambda_kj_per_m, model.gamma_kj_per_deg
 
     if params.q_deposit is not None:
@@ -341,19 +406,21 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
 
     best_nodes: tuple[int, ...] | None = None
     best_cost = math.inf
+    best_iteration = 0
     fallback_nodes: tuple[int, ...] | None = None  # best incomplete walk
     fallback_cost = math.inf
     history = []
 
     for it in range(params.n_iterations):
         tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
-        paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, rng)
+        paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, draw)
         tours = paths[closed]
         costs = _tour_costs(space, lam, gam, tours)
         if costs.size:
             k = int(np.argmin(costs))  # first of equals, as a scan in ant order
             if costs[k] < best_cost:
                 best_nodes, best_cost = tuple(tours[k].tolist()), float(costs[k])
+                best_iteration = it + 1
         walk_costs = {}
         if trace is not None or best_nodes is None:
             for k in np.nonzero(~closed)[0].tolist():
@@ -395,5 +462,4 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         best = _as_tour(g, model, fallback_nodes, False)
     else:
         best = Tour((g.home,), 0.0, 0.0, 0.0, False)
-    return SolverRun(best, tuple(history), best.is_valid, params.seed,
-                     params.n_iterations)
+    return SolverRun(best, tuple(history), best.is_valid, params.seed, best_iteration)

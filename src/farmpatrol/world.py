@@ -15,9 +15,11 @@ Map files are JSON:
     }
 
 "obstacles", "clearance_m" and "grid_spacing_m" are optional (defaults: none,
-10 m, 38 m). Unknown fields are rejected so typos fail loudly. All validation
-errors are :class:`MapSchemaError` with the offending field path in the
-message.
+10 m, 38 m). Unknown fields are rejected so typos fail loudly. The waypoint
+grid may hold at most MAX_GRID_POINTS (10 000) points, rows x cols, so a tiny
+grid_spacing_m fails at load time instead of planning for hours. All
+validation errors are :class:`MapSchemaError` with the offending field path
+in the message.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .geometry import Circle, Obstacle, Point2D, Rect, point_clearance
 
 DEFAULT_CLEARANCE_M = 10.0
 DEFAULT_GRID_SPACING_M = 38.0
+# rows x cols of the waypoint grid; every bundled or test map lays a few hundred
+MAX_GRID_POINTS = 10_000
 
 _TOP_FIELDS = {"perimeter", "obstacles", "stations", "clearance_m", "grid_spacing_m"}
 
@@ -184,6 +188,12 @@ def load_map(document: str | bytes | dict) -> FarmMap:
         raise MapSchemaError(f"grid_spacing_m: must be positive, got {spacing}")
 
     farm = FarmMap(pmin, pmax, tuple(obstacles), stations, clearance, spacing)
+    # the span test first: it keeps the grid shape finite for _grid_shape
+    if (not max(farm.width, farm.height) / spacing < MAX_GRID_POINTS
+            or math.prod(_grid_shape(farm)) > MAX_GRID_POINTS):
+        raise MapSchemaError(
+            f"grid_spacing_m: {spacing:g} m lays more than {MAX_GRID_POINTS} "
+            f"grid points over the perimeter")
 
     for i, st in enumerate(stations):
         if not farm.contains(st):
@@ -210,9 +220,7 @@ def generate_waypoints(farm: FarmMap) -> WaypointSet:
     clearance_m of distance to every obstacle; exact equality counts as valid.
     """
     s = farm.grid_spacing_m
-    # tolerance absorbs float drift when the perimeter is an exact multiple
-    n_cols = int(math.floor(farm.width / s + 1e-9)) + 1
-    n_rows = int(math.floor(farm.height / s + 1e-9)) + 1
+    n_rows, n_cols = _grid_shape(farm)
     points = []
     valid = []
     for row in range(n_rows):
@@ -222,6 +230,14 @@ def generate_waypoints(farm: FarmMap) -> WaypointSet:
             valid.append(all(point_clearance(p, obs) >= farm.clearance_m
                              for obs in farm.obstacles))
     return WaypointSet(tuple(points), tuple(valid), n_rows, n_cols)
+
+
+def _grid_shape(farm: FarmMap) -> tuple[int, int]:
+    """(rows, cols) of the waypoint grid generate_waypoints lays."""
+    s = farm.grid_spacing_m
+    # tolerance absorbs float drift when the perimeter is an exact multiple
+    return (int(math.floor(farm.height / s + 1e-9)) + 1,
+            int(math.floor(farm.width / s + 1e-9)) + 1)
 
 
 def reference_farm() -> FarmMap:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -12,9 +13,10 @@ from farmpatrol.aco import (
     AcoParams, construct_tour, nearest_neighbour_cost, solve,
 )
 from farmpatrol.energy import EnergyModel, tour_cost
+from farmpatrol.fleet import plan_fleet
 from farmpatrol.geometry import Point2D
 from farmpatrol.routegraph import RouteGraph, build_graph
-from farmpatrol.world import FarmMap, generate_waypoints
+from farmpatrol.world import FarmMap, generate_waypoints, reference_farm
 
 MODEL = EnergyModel()
 
@@ -114,6 +116,29 @@ def test_construct_tour_strands_on_star():
     assert t.nodes[0] == g.home
 
 
+def test_construct_tour_draws_one_random_per_walking_ant():
+    # construct_tour takes exactly one rng.random() per walking ant per step
+    # from the caller's rng, so the value after one call is pinned
+    farm = reference_farm()
+    g = build_graph(farm, generate_waypoints(farm), 0)
+    rng = random.Random(5)
+    t = construct_tour(g, MODEL, np.ones((g.n_nodes, g.n_nodes)), AcoParams(), rng)
+    assert t.is_valid
+    assert rng.random() == float.fromhex("0x1.e1c79b3dfcd58p-1")
+
+
+def test_uniform_blocks_equal_successive_random_calls():
+    block = aco._DRAW_BLOCK
+    sizes = [1, 2, 5, 37, 50, block - 1, block + 1, 37]  # blocks run out mid-take
+    for seed in range(200):
+        uniforms = aco._Uniforms(random.Random(seed))
+        got = [uniforms.take(k) for k in sizes]
+        assert [len(part) for part in got] == sizes
+        rng = random.Random(seed)
+        want = [rng.random() for _ in range(sum(sizes))]
+        assert np.concatenate(got).tolist() == want
+
+
 def test_construct_tour_rejects_bad_tau_shape():
     g = star_graph()
     with pytest.raises(ValueError, match="shape"):
@@ -126,6 +151,7 @@ def test_solve_on_star_reports_invalid():
     assert not run.best_tour.is_valid
     assert all(math.isinf(c) for c in run.best_cost_history)
     assert len(run.best_tour.nodes) == 2  # best partial walk kept
+    assert run.best_iteration == 0
 
 
 def test_solve_deterministic_per_seed():
@@ -170,6 +196,47 @@ def test_best_cost_history_monotone():
         assert len(h) == 60
         assert all(b <= a for a, b in zip(h, h[1:]))
         assert run.best_tour.cost_kj == h[-1]
+
+
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+def test_best_iteration_found_the_best_tour(variant):
+    g = random_graph(25, 5, keep=0.4)
+    run = solve(g, MODEL, AcoParams(variant=variant, n_ants=12, n_iterations=30, seed=8))
+    h = run.best_cost_history
+    assert run.valid and math.isinf(h[0])  # the first tour comes after iteration 1
+    assert 1 < run.best_iteration <= len(h)
+    assert h[run.best_iteration - 1] == run.best_tour.cost_kj
+    assert h[run.best_iteration - 2] > run.best_tour.cost_kj
+
+
+# (solver, seed) -> digest of the single-drone and dual-drone plans, each
+# drone's (best tour nodes, cost bits, best_cost_history bits), 60 iterations.
+# Recorded with numpy 2.4.6 on x86-64: like the determinism contract, the
+# digests hold within one platform and numpy build.
+GOLDEN_TOURS = {
+    ("AS", 42): ("5ca90fd7b6e53f50", "650d00763a7a6370"),
+    ("AS", 43): ("11fd1cf2823f512a", "5c1f90a60a41903c"),
+    ("MMAS", 42): ("420be74d5a447b88", "893d4f1cc1ca5f9b"),
+    ("MMAS", 43): ("a60963ea02bf8cb9", "c4d0ba9a07a57d16"),
+}
+
+
+@pytest.mark.parametrize("solver,seed", sorted(GOLDEN_TOURS))
+def test_golden_tours_on_the_reference_farm(solver, seed):
+    """Seeds map to the same tours across versions, not just valid ones."""
+    farm = reference_farm()
+    w = generate_waypoints(farm)
+    got = []
+    for n_drones in (1, 2):
+        plan = plan_fleet(farm, w, n_drones, solver,
+                          params=AcoParams(seed=seed, n_iterations=60))
+        h = hashlib.sha256()
+        for drone in plan.drones:
+            run = drone.run
+            h.update(repr((run.best_tour.nodes, run.best_tour.cost_kj.hex(),
+                           tuple(c.hex() for c in run.best_cost_history))).encode())
+        got.append(h.hexdigest()[:16])
+    assert tuple(got) == GOLDEN_TOURS[solver, seed]
 
 
 def test_as_deposit_bookkeeping():

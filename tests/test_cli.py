@@ -64,6 +64,14 @@ def test_plan_with_the_station_on_a_waypoint(tmp_path, capsys):
     assert json.loads(out.read_text())["valid"] is True
 
 
+def test_plan_with_a_tiny_grid_spacing_exits_2(tmp_path, capsys):
+    p = write_map(tmp_path / "farm.json", perimeter={"min": [0, 0], "max": [300, 175]})
+    out = tmp_path / "tour.json"
+    assert main(["plan", p, "--spacing", "0.001", "--out", str(out)]) == 2
+    assert "grid_spacing_m" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plan_writes_export_and_svg(farm_file, tmp_path, capsys):
     out = tmp_path / "tour.json"
     svg = tmp_path / "tour.svg"

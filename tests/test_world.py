@@ -4,7 +4,7 @@ import pytest
 
 from farmpatrol.geometry import Circle, Point2D, Rect
 from farmpatrol.world import (
-    MapSchemaError, generate_waypoints, load_map, reference_farm,
+    MAX_GRID_POINTS, MapSchemaError, generate_waypoints, load_map, reference_farm,
 )
 
 
@@ -63,6 +63,22 @@ def test_nonpositive_spacing_rejected():
         load_map(minimal_doc(grid_spacing_m=0))
     with pytest.raises(MapSchemaError, match="clearance_m"):
         load_map(minimal_doc(clearance_m=-1))
+
+
+def test_grid_point_limit():
+    # 100 x 100 grid points exactly: the limit is inclusive
+    farm = load_map(minimal_doc(perimeter={"min": [0, 0], "max": [99, 99]},
+                                grid_spacing_m=1.0))
+    w = generate_waypoints(farm)
+    assert w.n_rows * w.n_cols == MAX_GRID_POINTS
+    with pytest.raises(MapSchemaError, match="grid_spacing_m.*10000 grid points"):
+        load_map(minimal_doc(perimeter={"min": [0, 0], "max": [100, 99]},
+                             grid_spacing_m=1.0))
+    # ~5e10 points at 1 mm spacing, and a perimeter whose width overflows
+    with pytest.raises(MapSchemaError, match="grid_spacing_m"):
+        load_map(minimal_doc(grid_spacing_m=0.001))
+    with pytest.raises(MapSchemaError, match="grid_spacing_m"):
+        load_map(minimal_doc(perimeter={"min": [-1e308, 0], "max": [1e308, 100]}))
 
 
 def test_nonfinite_coordinates_rejected():
