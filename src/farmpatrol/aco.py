@@ -23,11 +23,13 @@ complete tour has been found (the best of them is returned when none ever
 is) or when solve is traced.
 
 Randomness is CPython's random.Random (the stdlib Mersenne twister) stream
-of random() values, one per walking ant per step. solve owns its
-random.Random(seed) and draws that stream in blocks (_Uniforms), bit for bit
-the values successive random() calls give; construct_tour calls random() on
-the caller's rng, one value at a time. So a seed maps to the same tours on
-any platform whose numpy build gives the same floating-point results.
+of random() values, one per walking ant per step, read through getrandbits
+(_uniform_block), bit for bit the values successive random() calls give.
+solve owns its random.Random(seed) and draws that stream in blocks of
+_DRAW_BLOCK values (_Uniforms); construct_tour takes exactly the values
+each step needs from the caller's rng, leaving it as that many random()
+calls would. So a seed maps to the same tours on any platform whose numpy
+build gives the same floating-point results.
 """
 
 from __future__ import annotations
@@ -358,8 +360,9 @@ def construct_tour(g: RouteGraph, model: EnergyModel, tau: np.ndarray,
         raise ValueError(f"tau must have shape ({n}, {n}), got {tau.shape}")
     space = _Space(g, model, params.beta)
     tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
+    # exact draws, no block: the caller's rng ends as one random() per ant step would
     paths, lengths, closed = _construct_batch(
-        space, 1, tau_pow, lambda k: np.array([rng.random() for _ in range(k)]))
+        space, 1, tau_pow, lambda k: _uniform_block(rng, k))
     return _as_tour(g, model, tuple(paths[0, :lengths[0]].tolist()), bool(closed[0]))
 
 

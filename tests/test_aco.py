@@ -137,6 +137,10 @@ def test_uniform_blocks_equal_successive_random_calls():
         rng = random.Random(seed)
         want = [rng.random() for _ in range(sum(sizes))]
         assert np.concatenate(got).tolist() == want
+        # unbuffered, each block leaves the rng where the random() calls do
+        exact = random.Random(seed)
+        assert np.concatenate([aco._uniform_block(exact, k) for k in sizes]).tolist() == want
+        assert exact.getstate() == rng.getstate()
 
 
 def test_construct_tour_rejects_bad_tau_shape():
@@ -210,14 +214,14 @@ def test_best_iteration_found_the_best_tour(variant):
 
 
 # (solver, seed) -> digest of the single-drone and dual-drone plans, each
-# drone's (best tour nodes, cost bits, best_cost_history bits), 60 iterations.
-# Recorded with numpy 2.4.6 on x86-64: like the determinism contract, the
-# digests hold within one platform and numpy build.
+# drone's best tour nodes and the iteration that found it, 60 iterations.
+# Costs are left out: their last bits may differ on another numpy build or
+# platform, and other tests check them against tour_cost in one process.
 GOLDEN_TOURS = {
-    ("AS", 42): ("5ca90fd7b6e53f50", "650d00763a7a6370"),
-    ("AS", 43): ("11fd1cf2823f512a", "5c1f90a60a41903c"),
-    ("MMAS", 42): ("420be74d5a447b88", "893d4f1cc1ca5f9b"),
-    ("MMAS", 43): ("a60963ea02bf8cb9", "c4d0ba9a07a57d16"),
+    ("AS", 42): ("d7656206ee83f755", "4760ab2bce2d59f5"),
+    ("AS", 43): ("4d73887de4ad142a", "0c517d8191ff28d3"),
+    ("MMAS", 42): ("673a90db587a80bd", "0c097a7e809f8c9a"),
+    ("MMAS", 43): ("fb751b2848585225", "1d734cb0478ec8ec"),
 }
 
 
@@ -232,9 +236,7 @@ def test_golden_tours_on_the_reference_farm(solver, seed):
                           params=AcoParams(seed=seed, n_iterations=60))
         h = hashlib.sha256()
         for drone in plan.drones:
-            run = drone.run
-            h.update(repr((run.best_tour.nodes, run.best_tour.cost_kj.hex(),
-                           tuple(c.hex() for c in run.best_cost_history))).encode())
+            h.update(repr((drone.run.best_tour.nodes, drone.run.best_iteration)).encode())
         got.append(h.hexdigest()[:16])
     assert tuple(got) == GOLDEN_TOURS[solver, seed]
 
