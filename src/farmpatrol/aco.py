@@ -3,7 +3,8 @@
 Two variants share one construction engine:
 
 * "AS" (ant system): every ant that completes a valid tour deposits
-  q_deposit / cost on the edges it used.
+  q / cost on the edges it used, with q the mean cost of the greedy
+  nearest-neighbour tours (nearest_neighbour_cost).
 * "MMAS" (max-min ant system): only the best tour found so far deposits
   (1 / best cost), and trails are clamped into [tau_min, tau_max] with
   tau_max = 1 / (rho * best_cost) and tau_min = tau_max / (2 * n_nodes).
@@ -53,13 +54,15 @@ _DRAW_BLOCK = 4096
 
 @dataclass(frozen=True, slots=True)
 class AcoParams:
+    """Colony settings. The AS deposit scale q is not one of them: solve
+    takes it from nearest_neighbour_cost, the mean greedy tour cost."""
+
     variant: str = "AS"
     n_ants: int | None = None          # default: one per waypoint, capped at 50
     n_iterations: int = 300
     alpha: float = 1.0
     beta: float = 3.0
     rho: float | None = None           # default 0.5 for AS, 0.05 for MMAS
-    q_deposit: float | None = None     # default: mean greedy nearest-neighbour cost
     seed: int = 0
 
     def __post_init__(self):
@@ -75,8 +78,6 @@ class AcoParams:
             raise ValueError("beta must be finite and >= 0")
         if self.rho is not None and not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if self.q_deposit is not None and not self.q_deposit > 0:
-            raise ValueError("q_deposit must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +156,6 @@ def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
         return np.isfinite(den).astype(float)
     inv = np.zeros_like(den)
     np.divide(1.0, den, out=inv, where=np.isfinite(den))
-    if beta == 1.0:
-        return inv
     if float(beta).is_integer() and 2 <= beta <= 8:
         out = inv * inv
         for _ in range(int(beta) - 2):
@@ -380,6 +379,10 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
           trace=None) -> SolverRun:
     """Run the configured colony and return the best tour found.
 
+    Raises ValueError when the greedy reference cost q (see
+    nearest_neighbour_cost) is not finite and positive: an energy scale that
+    overflows on this map.
+
     trace, when given, is called after every iteration as
     trace(iteration, tau_copy, bounds, ants) with bounds = (tau_min, tau_max)
     for MMAS (None for AS) and ants = [(nodes, cost_kj, complete), ...] in
@@ -393,14 +396,16 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         raise ValueError("graph has no waypoints to cover")
     n = g.n_nodes
     n_ants, rho = _resolve(g, params)
-    space = _Space(g, model, params.beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in q
+        space = _Space(g, model, params.beta)
+        q = nearest_neighbour_cost(g, model, space)
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"energy scale out of range for this map: the greedy reference "
+                         f"tour costs {q!r} kJ (lambda_kj_per_m {model.lambda_kj_per_m!r}, "
+                         f"gamma_kj_per_deg {model.gamma_kj_per_deg!r})")
     draw = _Uniforms(random.Random(params.seed)).take
     lam, gam = model.lambda_kj_per_m, model.gamma_kj_per_deg
 
-    if params.q_deposit is not None:
-        q = params.q_deposit
-    else:
-        q = nearest_neighbour_cost(g, model, space)
     if params.variant == "AS":
         tau = np.full((n, n), n_ants / q)
     else:

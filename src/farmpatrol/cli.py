@@ -7,9 +7,10 @@ Subcommands:
     render    draw a map, optionally with a planned tour, to SVG
 
 Exit codes: 0 success, 2 schema violation, 3 connectivity failure,
-4 planning failure, 1 anything else (a missing file, or a bad flag or
-GUARD_SEED value: one "error: ..." line on stderr). When --seed / --base-seed
-is omitted the GUARD_SEED environment variable is used, then 42.
+4 planning failure, 1 anything else (a file that cannot be read or written,
+a bad flag or GUARD_SEED value, or an energy scale that overflows on the map:
+one "error: ..." line on stderr). When --seed / --base-seed is omitted the
+GUARD_SEED environment variable is used, then 42.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     except PlanningError as exc:
         print(f"planning error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -83,8 +83,9 @@ def tour_cost(g: RouteGraph, model: EnergyModel, nodes, allow_revisits: bool = F
     """Cost a node walk and report its validity.
 
     Every consecutive pair must be a graph edge (pruned or missing edges are
-    rejected with the offending pair). No turn is charged for leaving home on
-    the first leg or arriving on the last, which keeps reversal symmetry.
+    rejected with the offending pair), and so is a cost that overflows, an
+    energy scale too large for the map. No turn is charged for leaving home
+    on the first leg or arriving on the last, which keeps reversal symmetry.
     """
     nodes = tuple(int(v) for v in nodes)
     if len(nodes) < 2:
@@ -97,6 +98,10 @@ def tour_cost(g: RouteGraph, model: EnergyModel, nodes, allow_revisits: bool = F
 
     dist, turn = path_metrics(g.xy[list(nodes)])
     cost = model.lambda_kj_per_m * dist + model.gamma_kj_per_deg * turn
+    if not math.isfinite(cost):
+        raise ValueError(f"energy scale out of range for this map: the tour costs {cost!r} kJ "
+                         f"(lambda_kj_per_m {model.lambda_kj_per_m!r}, "
+                         f"gamma_kj_per_deg {model.gamma_kj_per_deg!r})")
 
     closed = nodes[0] == g.home and nodes[-1] == g.home
     interior = nodes[1:-1]

@@ -156,11 +156,8 @@ def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
     if isinstance(obstacle, Circle):
         d = point_segment_distance(obstacle.center, seg.a, seg.b)
         return max(0.0, d - obstacle.radius)
-    # rectangle: inside or crossing means contact, otherwise the nearest
-    # approach is realised against one of the four edges
+    # rectangle: an endpoint inside means contact; otherwise the nearest
+    # approach, 0 on a crossing, is realised against one of the four edges
     if obstacle.contains(seg.a) or obstacle.contains(seg.b):
         return 0.0
-    edges = obstacle.edges()
-    if any(segments_intersect(seg.a, seg.b, e.a, e.b) for e in edges):
-        return 0.0
-    return min(segment_segment_distance(seg, e) for e in edges)
+    return min(segment_segment_distance(seg, e) for e in obstacle.edges())

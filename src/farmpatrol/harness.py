@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .aco import AcoParams
@@ -37,17 +37,7 @@ class TrialReport:
     wall_time_ms: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "solver": self.solver,
-            "problem": self.problem,
-            "seed": self.seed,
-            "valid": self.valid,
-            "cost_kj": self.cost_kj,
-            "distance_m": self.distance_m,
-            "turn_deg": self.turn_deg,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,19 +55,7 @@ class CellSummary:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "problem": self.problem,
-            "trials_run": self.trials_run,
-            "trials_valid": self.trials_valid,
-            "mean_cost_kj": self.mean_cost_kj,
-            "min_cost_kj": self.min_cost_kj,
-            "max_cost_kj": self.max_cost_kj,
-            "stddev_cost_kj": self.stddev_cost_kj,
-            "baseline_cost_kj": self.baseline_cost_kj,
-            "improvement_pct": self.improvement_pct,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)

@@ -43,28 +43,18 @@ def _star(cx: float, cy: float, r: float) -> str:
 
 
 def _normalise_plans(plans) -> list[tuple[Tour, RouteGraph, float | None]]:
-    if plans is None:
-        return []
     if isinstance(plans, FleetPlan):
         return [(d.tour, d.graph, d.altitude_m) for d in plans.drones]
-    out = []
-    for item in plans:
-        if len(item) == 2:
-            tour, graph = item
-            out.append((tour, graph, None))
-        else:
-            tour, graph, alt = item
-            out.append((tour, graph, alt))
-    return out
+    return [(tour, graph, None) for tour, graph in plans or ()]
 
 
 def render_svg(farm: FarmMap, waypoints: WaypointSet | None = None,
                plans=None) -> str:
     """Draw the farm, optionally its waypoint grid and planned tours.
 
-    plans may be a FleetPlan or a sequence of (tour, graph) or
-    (tour, graph, altitude_m) entries; each tour gets its own colour and
-    direction arrows.
+    plans may be a FleetPlan, whose tours are labelled with their drone's
+    altitude, or a sequence of (tour, graph) pairs; each tour gets its own
+    colour and direction arrows.
     """
     entries = _normalise_plans(plans)
 

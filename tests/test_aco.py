@@ -70,8 +70,6 @@ def test_params_validation():
         AcoParams(n_iterations=0)
     with pytest.raises(ValueError):
         AcoParams(beta=-1)
-    with pytest.raises(ValueError):
-        AcoParams(q_deposit=0.0)
     p = AcoParams(variant="MMAS", rho=0.2)
     assert p.rho == 0.2
 
@@ -243,9 +241,9 @@ def test_golden_tours_on_the_reference_farm(solver, seed):
 
 def test_as_deposit_bookkeeping():
     g = graph_from([(0, 0), (40, 0), (40, 40), (0, 40)], (-10, 20))
-    q = 50.0
+    q = nearest_neighbour_cost(g, MODEL)
     rho = 0.5
-    params = AcoParams(n_ants=6, n_iterations=4, seed=9, q_deposit=q, rho=rho)
+    params = AcoParams(n_ants=6, n_iterations=4, seed=9, rho=rho)
     snaps = []
     solve(g, MODEL, params, trace=lambda it, tau, bounds, ants: snaps.append((tau, ants)))
     prev_sum = (params.n_ants / q) * g.n_nodes ** 2  # uniform initial trails
@@ -261,10 +259,9 @@ def test_as_no_deposit_from_invalid_ants():
     g = star_graph()
     rho = 0.5
     snaps = []
-    solve(g, MODEL, AcoParams(n_ants=4, n_iterations=3, seed=0, rho=rho,
-                              q_deposit=10.0),
+    solve(g, MODEL, AcoParams(n_ants=4, n_iterations=3, seed=0, rho=rho),
           trace=lambda it, tau, bounds, ants: snaps.append(tau))
-    tau0 = np.full((4, 4), 4 / 10.0)
+    tau0 = np.full((4, 4), 4 / nearest_neighbour_cost(g, MODEL))
     expect = tau0 * (1 - rho)
     for tau in snaps:
         assert np.array_equal(tau, expect)
@@ -339,6 +336,19 @@ def test_heuristic_table_build_peaks_at_the_table_size():
     assert peak < 1.5 * space.eta_pow.nbytes
 
 
+def test_pow_eta_at_beta_one_is_the_reciprocal():
+    rng = np.random.default_rng(0)
+    den = np.concatenate([rng.uniform(1e-3, 1e3, 5000), 10.0 ** rng.uniform(-300, 300, 5000),
+                          [5e-324, 2.2e-308, 1.0, np.inf, np.inf]])
+    want = np.zeros_like(den)
+    finite = np.isfinite(den)
+    with np.errstate(over="ignore"):  # 1 / 5e-324 is inf on both sides
+        want[finite] = 1.0 / den[finite]
+        got = aco._pow_eta(den, 1.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.all(got[~finite] == 0.0)
+
+
 def test_nearest_neighbour_cost_single_waypoint():
     g = graph_from([(10, 0)], (0, 0))
     want = 2 * MODEL.lambda_kj_per_m * 10 + MODEL.gamma_kj_per_deg * 180
@@ -358,6 +368,19 @@ def test_solver_requires_positive_lambda():
     g = star_graph()
     with pytest.raises(ValueError, match="positive distance"):
         solve(g, EnergyModel(0.0, 0.0173), AcoParams(n_iterations=1))
+
+
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+@pytest.mark.parametrize("model,scale", [
+    (EnergyModel(1e308, 1e308), 10.0),    # every hop overflows: greedy reference costs 0
+    (EnergyModel(1e306, 0.0173), 100.0),  # tours overflow: greedy reference costs inf
+    (MODEL, 1e307),                       # coordinates overflow: greedy reference is nan
+])
+def test_solve_rejects_an_overflowing_energy_scale(variant, model, scale):
+    pts = [(scale * x, scale * y) for x, y in [(0, 0), (3, 0), (3, 3), (0, 3), (-1, -1)]]
+    g = graph_from(pts[:-1], pts[-1])
+    with pytest.raises(ValueError, match="energy scale"):
+        solve(g, model, AcoParams(variant=variant, n_ants=3, n_iterations=2))
 
 
 @pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (40, 2), (aco._TABLE_NODE_LIMIT + 5, 3)])

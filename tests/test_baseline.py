@@ -27,6 +27,14 @@ def test_serpentine_order_on_open_grid():
         oracles.polyline_cost(pts, MODEL.lambda_kj_per_m, MODEL.gamma_kj_per_deg), rel=1e-12)
 
 
+def test_overflowing_energy_scale_is_rejected():
+    m = make_map()
+    w = generate_waypoints(m)
+    g = build_graph(m, w, 0)
+    with pytest.raises(ValueError, match="energy scale"):
+        plan_back_and_forth(g, EnergyModel(1e306, 0.0173), w)
+
+
 def test_single_waypoint_out_and_back():
     # one waypoint 10 m from the station: fly out, reverse, fly home
     m = make_map(width=10, height=10, stations=((6, 8),))

@@ -56,6 +56,40 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["plan", "{map}", "--iterations", "5", "--out", "{dir}"],
+    ["plan", "{map}", "--iterations", "5", "--out", "{dir}/tour.json", "--svg", "{dir}"],
+    ["render", "{map}", "--out", "{dir}"],
+    ["bench", "{map}", "--iterations", "5", "--trials", "1", "--out-dir", "{file}"],
+])
+def test_unreadable_or_unwritable_path_is_one_error_line(farm_file, tmp_path, capsys, argv):
+    # a directory cannot be read or written as a file, and bench cannot make
+    # its output directory where a file already is
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"map": farm_file, "dir": str(tmp_path), "file": str(taken)}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "1e308", "--gamma", "1e308"],
+    ["--solver", "as", "--lambda", "1e306"],
+    ["--solver", "mmas", "--lambda", "1e306"],
+    ["--solver", "back-and-forth", "--lambda", "1e306"],
+])
+def test_overflowing_energy_scale_exits_1(tmp_path, capsys, flags):
+    p = write_map(tmp_path / "farm.json", perimeter={"min": [0, 0], "max": [300, 175]},
+                  grid_spacing_m=38.0)
+    out = tmp_path / "tour.json"
+    assert main(["plan", p, "--iterations", "5", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: energy scale") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_plan_with_the_station_on_a_waypoint(tmp_path, capsys):
     p = write_map(tmp_path / "farm.json", stations=[[20, 20]], clearance_m=0.0)
     out = tmp_path / "tour.json"

@@ -119,6 +119,19 @@ def test_run_benchmark_persists_deterministically(tmp_path):
     assert len(summary["cells"]) == 6
 
 
+def test_bench_json_key_order(tmp_path):
+    cfg = BenchConfig(problems=("single",), n_trials=1, aco=FAST_ACO)
+    run_benchmark(open_map(), cfg, out_dir=tmp_path)
+    row = json.loads((tmp_path / "trials.jsonl").read_text().splitlines()[0])
+    assert list(row) == ["schema", "solver", "problem", "seed", "valid", "cost_kj",
+                         "distance_m", "turn_deg", "wall_time_ms"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary) == ["schema", "n_trials", "base_seed", "cells"]
+    assert list(summary["cells"][0]) == [
+        "solver", "problem", "trials_run", "trials_valid", "mean_cost_kj", "min_cost_kj",
+        "max_cost_kj", "stddev_cost_kj", "baseline_cost_kj", "improvement_pct", "error"]
+
+
 def test_bench_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(solvers=("simulated-annealing",))
