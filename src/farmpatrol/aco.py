@@ -87,11 +87,11 @@ class SolverRun:
 
     best_iteration is the 1-based iteration that found best_tour, or 0 when
     no ant completed a tour (best_tour is then the best incomplete walk).
+    Whether the run found a coverage tour is best_tour.is_valid.
     """
 
     best_tour: Tour
     best_cost_history: tuple[float, ...]
-    valid: bool
     seed: int
     best_iteration: int
 
@@ -470,4 +470,4 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         best = _as_tour(g, model, fallback_nodes, False)
     else:
         best = Tour((g.home,), 0.0, 0.0, 0.0, False)
-    return SolverRun(best, tuple(history), best.is_valid, params.seed, best_iteration)
+    return SolverRun(best, tuple(history), params.seed, best_iteration)

@@ -112,7 +112,19 @@ def _plan_doc(plan) -> dict:
     }
 
 
+def _check_out(path) -> None:
+    """Reject an output file path that cannot be written, before any work."""
+    p = Path(path)
+    if p.is_dir():
+        raise IsADirectoryError(f"output path is a directory: {path}")
+    if not p.parent.is_dir():
+        raise FileNotFoundError(f"output directory does not exist: {p.parent}")
+
+
 def cmd_plan(args) -> int:
+    _check_out(args.out)
+    if args.svg:
+        _check_out(args.svg)
     farm = _load(args)
     w = generate_waypoints(farm)
     seed = _resolve_seed(args.seed)
@@ -138,12 +150,15 @@ def cmd_bench(args) -> int:
     base_seed = _resolve_seed(args.base_seed)
     cfg = BenchConfig(n_trials=args.trials, base_seed=base_seed, model=_model(args),
                       aco=_params(args, base_seed))
-    summary, reports, best = run_benchmark(farm, cfg, out_dir=args.out_dir)
     out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary, reports, best = run_benchmark(farm, cfg)
+    (out / "trials.jsonl").write_text(
+        "".join(json.dumps(r.to_json_dict()) + "\n" for r in reports))
+    (out / "summary.json").write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n")
     w = generate_waypoints(farm)
     for (solver, problem), plan in sorted(best.items()):
-        svg_path = out / f"best_{solver}_{problem}.svg"
-        svg_path.write_text(render_svg(farm, w, plan))
+        (out / f"best_{solver}_{problem}.svg").write_text(render_svg(farm, w, plan))
     print(f"{'solver':>14} {'problem':>7} {'valid':>7} {'mean kJ':>10} "
           f"{'min kJ':>10} {'improve':>8}")
     for c in summary.cells:
@@ -158,6 +173,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _check_out(args.out)
     farm = _load(args)
     w = generate_waypoints(farm)
     plan = None

@@ -96,8 +96,9 @@ def tour_cost(g: RouteGraph, model: EnergyModel, nodes, allow_revisits: bool = F
         if not g.adj[a, b]:
             raise ValueError(f"tour uses a missing or pruned edge ({a}, {b})")
 
-    dist, turn = path_metrics(g.xy[list(nodes)])
-    cost = model.lambda_kj_per_m * dist + model.gamma_kj_per_deg * turn
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in cost
+        dist, turn = path_metrics(g.xy[list(nodes)])
+        cost = model.lambda_kj_per_m * dist + model.gamma_kj_per_deg * turn
     if not math.isfinite(cost):
         raise ValueError(f"energy scale out of range for this map: the tour costs {cost!r} kJ "
                          f"(lambda_kj_per_m {model.lambda_kj_per_m!r}, "

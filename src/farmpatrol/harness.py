@@ -2,18 +2,17 @@
 summarise costs against the back-and-forth baseline.
 
 Trial i of a stochastic solver uses seed base_seed + i; the deterministic
-baseline runs once per problem. Reports persist as JSON lines plus a summary
-JSON, both carrying "schema": 1. Everything except wall_time_ms is
+baseline runs once per problem. The harness only returns data: reports and
+the summary turn into JSON via to_json_dict, both carrying "schema": 1, and
+the caller decides where they go. Everything except wall_time_ms is
 reproducible bit for bit for a given map and configuration.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 from .aco import AcoParams
 from .energy import EnergyModel
@@ -81,44 +80,26 @@ class BenchSummary:
 
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
-    solvers: tuple[str, ...] = SOLVERS
-    problems: tuple[str, ...] = PROBLEMS
     n_trials: int = 30
     base_seed: int = 42
     model: EnergyModel = field(default_factory=EnergyModel)
     aco: AcoParams = field(default_factory=AcoParams)
 
     def __post_init__(self):
-        for s in self.solvers:
-            if s not in SOLVERS:
-                raise ValueError(f"unknown solver {s!r}")
-        for p in self.problems:
-            if p not in PROBLEMS:
-                raise ValueError(f"unknown problem {p!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
 
 
 def summarize(reports, cell_errors: dict | None = None,
-              n_trials: int | None = None, base_seed: int | None = None,
-              grid=None) -> BenchSummary:
+              n_trials: int | None = None, base_seed: int | None = None) -> BenchSummary:
     """Aggregate trial reports into per-cell statistics.
 
     Statistics cover valid trials only. The baseline cost for a problem comes
     from that problem's back-and-forth report when present; improvement_pct
     compares a solver's mean against it.
     """
-    cell_errors = dict(cell_errors or {})
-    keys = []
-    if grid is not None:
-        keys.extend(grid)
-    for r in reports:
-        if (r.solver, r.problem) not in keys:
-            keys.append((r.solver, r.problem))
-    for k in cell_errors:
-        if k not in keys:
-            keys.append(k)
-    keys.sort()
+    cell_errors = cell_errors or {}
+    keys = sorted({(r.solver, r.problem) for r in reports} | cell_errors.keys())
 
     baseline_by_problem = {}
     for r in reports:
@@ -147,25 +128,25 @@ def summarize(reports, cell_errors: dict | None = None,
     return BenchSummary(tuple(cells), n_trials, base_seed)
 
 
-def run_benchmark(farm: FarmMap, config: BenchConfig | None = None,
-                  out_dir=None):
-    """Run the configured grid. Returns (summary, reports, best_plans) where
-    best_plans maps (solver, problem) to the lowest-cost valid FleetPlan.
+def run_benchmark(farm: FarmMap, config: BenchConfig | None = None):
+    """Run every solver of SOLVERS on every problem of PROBLEMS. Returns
+    (summary, reports, best_plans): reports sorted by (solver, problem, seed)
+    and best_plans mapping (solver, problem) to the lowest-cost valid
+    FleetPlan. Nothing is written to disk.
 
     A failure (disconnected half, impossible partition, ...) aborts only its
-    cell; the error lands in that cell's summary row. With out_dir set,
-    reports go to out_dir/trials.jsonl and the summary to out_dir/summary.json.
+    cell; the error lands in that cell's summary row, so every cell has at
+    least one report or an error.
     """
     config = config or BenchConfig()
     waypoints = generate_waypoints(farm)
     reports: list[TrialReport] = []
     best_plans: dict[tuple[str, str], FleetPlan] = {}
     cell_errors: dict[tuple[str, str], str] = {}
-    grid = [(s, p) for p in config.problems for s in config.solvers]
 
-    for problem in config.problems:
+    for problem in PROBLEMS:
         n_drones = _DRONES[problem]
-        for solver in config.solvers:
+        for solver in SOLVERS:
             if solver == "back-and-forth":
                 seeds = [config.base_seed]
             else:
@@ -189,20 +170,5 @@ def run_benchmark(farm: FarmMap, config: BenchConfig | None = None,
                     best_plans[key] = plan
 
     reports.sort(key=lambda r: (r.solver, r.problem, r.seed))
-    summary = summarize(reports, cell_errors, config.n_trials, config.base_seed,
-                        grid=grid)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_reports(out / "trials.jsonl", reports)
-        write_summary(out / "summary.json", summary)
+    summary = summarize(reports, cell_errors, config.n_trials, config.base_seed)
     return summary, reports, best_plans
-
-
-def write_reports(path, reports) -> None:
-    lines = [json.dumps(r.to_json_dict()) for r in reports]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def write_summary(path, summary: BenchSummary) -> None:
-    Path(path).write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n")

@@ -111,7 +111,7 @@ def test_01_small_instance_optimality():
 
             run = solve(g, MODEL, AcoParams(variant="AS", n_ants=20,
                                             n_iterations=200, seed=i))
-            assert run.valid
+            assert run.best_tour.is_valid
             rel = (run.best_tour.cost_kj - opt) / opt
             assert rel >= -1e-9          # oracle is a true lower bound
             assert rel <= 0.05
@@ -371,7 +371,7 @@ def test_08_trail_bounds_and_best_cost_monotonicity():
             finite = [c for c in hist if math.isfinite(c)]
             assert finite, f"{variant} never found a valid tour"
             assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-            assert r.valid and hist[-1] == r.best_tour.cost_kj
+            assert r.best_tour.is_valid and hist[-1] == r.best_tour.cost_kj
 
 
 def test_09_energy_defaults_and_heuristic_value():

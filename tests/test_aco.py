@@ -149,7 +149,7 @@ def test_construct_tour_rejects_bad_tau_shape():
 
 def test_solve_on_star_reports_invalid():
     run = solve(star_graph(), MODEL, AcoParams(n_ants=5, n_iterations=10, seed=1))
-    assert not run.valid
+    assert not run.best_tour.is_valid
     assert not run.best_tour.is_valid
     assert all(math.isinf(c) for c in run.best_cost_history)
     assert len(run.best_tour.nodes) == 2  # best partial walk kept
@@ -182,7 +182,7 @@ def test_as_matches_bruteforce_on_five_waypoints():
     home = (-10, -10)
     g = graph_from(coords, home)
     run = solve(g, MODEL, AcoParams(n_ants=10, n_iterations=150, seed=5))
-    assert run.valid
+    assert run.best_tour.is_valid
     want_cost, _ = oracles.best_closed_tour(coords, home, MODEL.lambda_kj_per_m,
                                             MODEL.gamma_kj_per_deg)
     assert run.best_tour.cost_kj == pytest.approx(want_cost, rel=1e-9)
@@ -205,7 +205,7 @@ def test_best_iteration_found_the_best_tour(variant):
     g = random_graph(25, 5, keep=0.4)
     run = solve(g, MODEL, AcoParams(variant=variant, n_ants=12, n_iterations=30, seed=8))
     h = run.best_cost_history
-    assert run.valid and math.isinf(h[0])  # the first tour comes after iteration 1
+    assert run.best_tour.is_valid and math.isinf(h[0])  # the first tour comes after iteration 1
     assert 1 < run.best_iteration <= len(h)
     assert h[run.best_iteration - 1] == run.best_tour.cost_kj
     assert h[run.best_iteration - 2] > run.best_tour.cost_kj
@@ -276,7 +276,7 @@ def test_mmas_bounds_and_best_only_deposit():
     run = solve(g, MODEL, AcoParams(variant="MMAS", n_ants=8, n_iterations=50,
                                     seed=4, rho=rho),
                 trace=lambda it, tau, bounds, ants: traces.append((tau, bounds)))
-    assert run.valid
+    assert run.best_tour.is_valid
     prev = None
     for tau, (tau_min, tau_max) in traces:
         assert np.all(tau >= tau_min - 1e-12)
@@ -448,5 +448,5 @@ def test_solve_with_the_station_on_a_waypoint(variant):
                                          MODEL.gamma_kj_per_deg)
     assert nearest_neighbour_cost(g, MODEL) == pytest.approx(want, rel=1e-12)
     run = solve(g, MODEL, AcoParams(variant=variant, n_iterations=5))
-    assert run.valid
+    assert run.best_tour.is_valid
     assert run.best_tour == tour_cost(g, MODEL, run.best_tour.nodes)

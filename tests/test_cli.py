@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import farmpatrol.cli
+import farmpatrol.harness
 from farmpatrol.cli import main
 
 
@@ -62,16 +64,28 @@ def test_missing_file_exits_1(tmp_path, capsys):
     ["plan", "{map}", "--iterations", "5", "--out", "{dir}/tour.json", "--svg", "{dir}"],
     ["render", "{map}", "--out", "{dir}"],
     ["bench", "{map}", "--iterations", "5", "--trials", "1", "--out-dir", "{file}"],
+    ["plan", "{map}", "--iterations", "5", "--out", "{dir}/missing/tour.json"],
+    ["plan", "{map}", "--iterations", "5", "--out", "{dir}/tour.json",
+     "--svg", "{dir}/missing/tour.svg"],
+    ["render", "{map}", "--solver", "as", "--iterations", "5",
+     "--out", "{dir}/missing/map.svg"],
 ])
-def test_unreadable_or_unwritable_path_is_one_error_line(farm_file, tmp_path, capsys, argv):
+def test_unreadable_or_unwritable_path_is_one_error_line(farm_file, tmp_path, capsys,
+                                                         monkeypatch, argv):
     # a directory cannot be read or written as a file, and bench cannot make
-    # its output directory where a file already is
+    # its output directory where a file already is; either way the command
+    # fails before it plans anything or writes a file
+    plans = []
+    for module in (farmpatrol.cli, farmpatrol.harness):
+        monkeypatch.setattr(module, "plan_fleet", lambda *a: plans.append(a))
     taken = tmp_path / "taken"
     taken.write_text("")
     paths = {"map": farm_file, "dir": str(tmp_path), "file": str(taken)}
     assert main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert plans == []
+    assert not (tmp_path / "tour.json").exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -85,6 +99,17 @@ def test_overflowing_energy_scale_exits_1(tmp_path, capsys, flags):
                   grid_spacing_m=38.0)
     out = tmp_path / "tour.json"
     assert main(["plan", p, "--iterations", "5", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: energy scale") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_overflowing_map_coordinates_are_one_error_line(tmp_path, capsys):
+    p = write_map(tmp_path / "farm.json", perimeter={"min": [0, 0], "max": [4e307, 4e307]},
+                  grid_spacing_m=1e307, stations=[[0, 0]], clearance_m=0.0)
+    out = tmp_path / "tour.json"
+    assert main(["plan", p, "--solver", "back-and-forth", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: energy scale") and err.count("\n") == 1
     assert not out.exists()
