@@ -18,6 +18,11 @@ tour and deposits nothing.
 
 All ants of an iteration are constructed in lockstep on numpy arrays; the
 same engine runs single constructions (construct_tour) with a batch of one.
+A step reads the eta^beta row of each ant's (previous node, node) pair. solve
+keeps up to _ROW_TABLE_BYTES of these rows, each node's nearest predecessors
+first, at every graph size, and computes the others per step by the same
+formula; construct_tour keeps none. Which rows are kept changes speed and
+memory, never a tour (see _Space).
 The closed tours of an iteration are costed together, row by row, with the
 same arithmetic as tour_cost. Incomplete walks are costed only while no
 complete tour has been found (the best of them is returned when none ever
@@ -43,11 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyModel, Tour, path_metrics, path_metrics_rows, tour_cost
-from .routegraph import RouteGraph
+from .routegraph import RouteGraph, pair_distances
 
 MAX_DEFAULT_ANTS = 50
-# full (h, i, j) heuristic tables are only built while they stay small
-_TABLE_NODE_LIMIT = 150
+# bytes of eta^beta rows a solve keeps (_Space.table), about the size of
+# every (h, i) row of an 80-node graph
+_ROW_TABLE_BYTES = 4 << 20
 # uniforms a solve draws from its rng per getrandbits call
 _DRAW_BLOCK = 4096
 
@@ -99,38 +105,78 @@ class SolverRun:
 class _Space:
     """Precomputed arrays for fast construction on one graph + model.
 
-    eta_pow_rows computes eta^beta rows on the fly from den and theta_rows.
-    Up to _TABLE_NODE_LIMIT nodes it also caches them all in eta_pow, an
-    (n + 1, n, n) table filled by that same formula one approach node h at a
-    time: eta_pow[h, i] is the row for the hop out of i coming from h, and
-    the last slot, read as h = -1, holds the rows with no heading yet. With
-    beta None only the heading geometry is set up (theta_rows), no table.
+    dist holds the Euclidean length of every node pair and den = lambda *
+    dist, with pruned pairs at infinity. eta_pow_rows(h, i) gives the (m, n)
+    eta^beta rows for hops out of i[k] by an ant that arrived from h[k]
+    (h = -1: no heading yet). An ant only arrives over an edge, so the rows
+    a step can read are those of the pairs (h, i) with adj[h, i], plus
+    (-1, home). table keeps the rows of as many of these pairs as fit in
+    table_bytes, each node's nearest predecessors first, then a scratch
+    row; row_of[h, i] is the pair's row in table, or -1 (the scratch row,
+    overwritten in the step's copy). A pair not kept has
+    its row computed per step by the same formula (computed_rows), bit for
+    bit the stored row. The reference farm's graphs keep every pair; at 156
+    nodes about 20 predecessors per node fit in _ROW_TABLE_BYTES. With beta
+    None only the geometry is set up (for nearest_neighbour_cost).
     """
 
-    def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None):
+    def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None,
+                 table_bytes: int = 0):
         if not model.lambda_kj_per_m > 0:
             raise ValueError("solver needs a positive distance coefficient")
-        n = g.n_nodes
-        self.n = n
+        self.n = g.n_nodes
         self.home = g.home
         self.adj = g.adj
         self.xy = g.xy
         self.beta = beta
         self.gamma = model.gamma_kj_per_deg
-        d = g.dist
+        self.dist = d = pair_distances(g.xy)
         with np.errstate(invalid="ignore", divide="ignore"):
             ux = np.where(d > 0, (g.xy[None, :, 0] - g.xy[:, None, 0]) / d, 0.0)
             uy = np.where(d > 0, (g.xy[None, :, 1] - g.xy[:, None, 1]) / d, 0.0)
         self.ux, self.uy = ux, uy
         # lambda * d with pruned pairs at infinity so their weight vanishes
         self.den = np.where(g.adj, model.lambda_kj_per_m * d, np.inf)
-        self.eta_pow = None
-        if beta is not None and n <= _TABLE_NODE_LIMIT:
-            table = np.empty((n + 1, n, n))
-            nodes = np.arange(n)
-            for h in range(-1, n):
-                table[h] = self.eta_pow_rows(np.full(n, h), nodes)
-            self.eta_pow = table
+        if beta is not None:
+            self.row_of, self.table = self.heading_rows(table_bytes)
+            # some arrival pair has no stored row
+            self.partial = self.table.shape[0] < 2 + g.adj.sum()
+
+    def heading_rows(self, table_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+        """(row_of, table) for a table of at most table_bytes (one scratch
+        row at least). Built a slice at a time, so the build's peak stays
+        near the table's own size at any n."""
+        n = self.n
+        h, i = self._nearest_arrivals(max(0, table_bytes // (8 * n) - 1))
+        row_of = np.full((n + 1, n), -1, dtype=np.int32)
+        row_of[h, i] = np.arange(h.size)
+        table = np.empty((h.size + 1, n))
+        stored = table[:-1]
+        chunk = max(1, h.size // 32)
+        for a in range(0, h.size, chunk):
+            stored[a:a + chunk] = self.computed_rows(h[a:a + chunk], i[a:a + chunk])
+        return row_of, table
+
+    def _nearest_arrivals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first k arrival pairs (h, i): (-1, home), then every node's
+        nearest predecessor, then every node's second nearest, and so on,
+        nodes in ascending order within a rank."""
+        n = self.n
+        if k == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        degree = self.adj.sum(axis=0)
+        depth = 0  # predecessor ranks needed to fill k rows
+        while depth < degree.max() and 1 + np.minimum(degree, depth).sum() < k:
+            depth += 1
+        near = np.empty((depth, n), dtype=np.int64)
+        cols = max(1, k // 16)  # sort a slice of columns at a time
+        for a in range(0, n, cols):
+            legs = np.where(self.adj[:, a:a + cols], self.dist[:, a:a + cols], np.inf)
+            near[:, a:a + cols] = np.argsort(legs, axis=0, kind="stable")[:depth]
+        rank = np.arange(depth)[:, None]
+        h, i = near[rank < degree], np.nonzero(rank < degree)[1]
+        return (np.concatenate([[-1], h])[:k],
+                np.concatenate([[self.home], i])[:k])
 
     def theta_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """(m, n) heading changes at i[k] from heading h[k]->i[k]; zero rows
@@ -143,11 +189,18 @@ class _Space:
         out[h < 0] = 0.0
         return out
 
-    def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
+    def computed_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """(m, n) values of eta^beta for hops i[k] -> j given history h[k]."""
-        if self.eta_pow is not None:
-            return self.eta_pow[h, i]
         return _pow_eta(self.den[i] + self.gamma * self.theta_rows(h, i), self.beta)
+
+    def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """computed_rows(h, i), read from table where it holds the pair."""
+        rows = self.row_of[h, i]
+        out = self.table.take(rows, axis=0)
+        if self.partial and rows.min() < 0:
+            miss = rows < 0
+            out[miss] = self.computed_rows(h[miss], i[miss])
+        return out
 
 
 def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
@@ -312,21 +365,22 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
     is the caller's precomputed _Space for the same graph and model.
     """
     if space is None:
-        space = _Space(g, model, beta=None)
+        space = _Space(g, model)
     lam, gam = model.lambda_kj_per_m, model.gamma_kj_per_deg
     n = g.n_nodes
     starts = np.arange(n)
     walks = np.empty((n, n + 1), dtype=np.int64)
     walks[:, 0] = starts
     lengths = np.ones(n, dtype=np.int64)  # nodes walked so far, per start
-    seen = g.dist == 0.0  # never step onto a node that coincides with the start
+    dist = space.dist
+    seen = dist == 0.0  # never step onto a node that coincides with the start
     cur, prev = starts.copy(), np.full(n, -1)
     rows = starts  # starts still walking
     for step in range(1, n):
         c = cur[rows]
-        hop = lam * g.dist[c] + gam * space.theta_rows(prev[rows], c)
+        hop = lam * dist[c] + gam * space.theta_rows(prev[rows], c)
         hop[seen[rows]] = np.inf
-        hop[g.dist[c] == 0.0] = np.inf  # coincident nodes are not hops
+        hop[dist[c] == 0.0] = np.inf  # coincident nodes are not hops
         nxt = np.argmin(hop, axis=1)
         moved = np.isfinite(hop[np.arange(rows.size), nxt])
         rows, nxt = rows[moved], nxt[moved]
@@ -397,7 +451,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     n = g.n_nodes
     n_ants, rho = _resolve(g, params)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in q
-        space = _Space(g, model, params.beta)
+        space = _Space(g, model, params.beta, _ROW_TABLE_BYTES)
         q = nearest_neighbour_cost(g, model, space)
     if not (math.isfinite(q) and q > 0.0):
         raise ValueError(f"energy scale out of range for this map: the greedy reference "

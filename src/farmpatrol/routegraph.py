@@ -30,9 +30,13 @@ class DisconnectedGraphError(ValueError):
 class RouteGraph:
     xy: np.ndarray                     # (n, 2) node coordinates, metres
     adj: np.ndarray                    # (n, n) bool, symmetric, False diagonal
-    dist: np.ndarray                   # (n, n) Euclidean lengths for all pairs
     waypoint_grid_ids: tuple[int, ...]  # node i < home -> index into the WaypointSet
     station_index: int                 # which map station is home
+
+    @property
+    def dist(self) -> np.ndarray:
+        """(n, n) Euclidean lengths for all pairs, computed on each read."""
+        return pair_distances(self.xy)
 
     @property
     def n_nodes(self) -> int:
@@ -55,6 +59,12 @@ class RouteGraph:
     def edges(self) -> list[tuple[int, int]]:
         ii, jj = np.nonzero(np.triu(self.adj, 1))
         return list(zip(ii.tolist(), jj.tolist()))
+
+
+def pair_distances(xy: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean lengths between all rows of an (n, 2) array."""
+    diff = xy[:, None, :] - xy[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
@@ -81,8 +91,7 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
     pts = [waypoints.points[g] for g in grid_ids] + [farm.stations[station]]
     n = len(pts)
     xy = np.array([[p.x, p.y] for p in pts], dtype=float)
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    dist = pair_distances(xy)
 
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -111,8 +120,7 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
 
     xy.setflags(write=False)
     adj.setflags(write=False)
-    dist.setflags(write=False)
-    return RouteGraph(xy, adj, dist, tuple(grid_ids), station)
+    return RouteGraph(xy, adj, tuple(grid_ids), station)
 
 
 def shortest_detour(g: RouteGraph, a: int, b: int) -> list[int]:
@@ -137,8 +145,10 @@ def shortest_detour(g: RouteGraph, a: int, b: int) -> list[int]:
         if u == b:
             break
         done[u] = True
-        for v in np.nonzero(g.adj[u])[0]:
-            nd = d + g.dist[u, v]
+        nbrs = np.nonzero(g.adj[u])[0]
+        diff = g.xy[u] - g.xy[nbrs]  # the legs, as pair_distances computes them
+        for v, leg in zip(nbrs, np.hypot(diff[:, 0], diff[:, 1]).tolist()):
+            nd = d + leg
             if nd < best[v]:
                 best[v] = nd
                 prev[v] = u

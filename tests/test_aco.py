@@ -27,8 +27,6 @@ def graph_from(waypoints_xy, home_xy, edges=None):
     pts = list(waypoints_xy) + [home_xy]
     n = len(pts)
     xy = np.array(pts, dtype=float)
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
     adj = np.zeros((n, n), dtype=bool)
     if edges is None:
         adj[:] = True
@@ -36,7 +34,7 @@ def graph_from(waypoints_xy, home_xy, edges=None):
     else:
         for a, b in edges:
             adj[a, b] = adj[b, a] = True
-    return RouteGraph(xy, adj, dist, tuple(range(n - 1)), 0)
+    return RouteGraph(xy, adj, tuple(range(n - 1)), 0)
 
 
 def open_map(width=100, height=100, station=(-10, 0), spacing=38.0):
@@ -304,36 +302,89 @@ def test_mmas_bound_formula():
     assert tau_min == pytest.approx(tau_max / (2 * g.n_nodes), rel=1e-12)
 
 
+def arrival_pairs(g):
+    """Every (h, i) an ant can arrive by: the edges, plus (-1, home)."""
+    h, i = np.nonzero(g.adj)
+    return [(-1, g.home)] + list(zip(h.tolist(), i.tolist()))
+
+
+def stored_pairs(space):
+    h, i = np.nonzero(space.row_of >= 0)
+    h[h == space.n] = -1
+    return h, i, space.row_of[h, i]
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5, 3.0])
-def test_heuristic_table_and_streaming_paths_agree(monkeypatch, beta):
-    m, w = open_map()
-    g = build_graph(m, w, 0)
-    n = g.n_nodes
-    p = AcoParams(n_ants=6, n_iterations=25, seed=13, beta=beta)
-    table = aco._Space(g, MODEL, beta).eta_pow
-    with_table = solve(g, MODEL, p)
-    monkeypatch.setattr("farmpatrol.aco._TABLE_NODE_LIMIT", -1)
-    streaming = aco._Space(g, MODEL, beta)
-    assert streaming.eta_pow is None
-    without_table = solve(g, MODEL, p)
-    assert with_table.best_tour == without_table.best_tour
-    assert with_table.best_cost_history == without_table.best_cost_history
-    # every (h, i) row, h = -1 (no heading yet) included, bit for bit
-    h = np.repeat(np.arange(-1, n), n)
-    i = np.tile(np.arange(n), n + 1)
-    assert np.array_equal(table[h, i], streaming.eta_pow_rows(h, i))
+def test_stored_heading_rows_equal_computed_rows(beta):
+    g = random_graph(40, 6)
+    space = aco._Space(g, MODEL, beta, aco._ROW_TABLE_BYTES)
+    h, i, rows = stored_pairs(space)
+    assert sorted(zip(h.tolist(), i.tolist())) == sorted(arrival_pairs(g))  # all fit
+    assert np.array_equal(np.sort(rows), np.arange(space.table.shape[0] - 1))
+    # the step reads the stored rows, bit for bit the formula's
+    assert np.array_equal(space.table[rows].view(np.uint64),
+                          space.computed_rows(h, i).view(np.uint64))
+    assert np.array_equal(space.eta_pow_rows(h, i).view(np.uint64),
+                          space.computed_rows(h, i).view(np.uint64))
 
 
-def test_heuristic_table_build_peaks_at_the_table_size():
-    g = random_graph(80, 3)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.5, 3.0])
+def test_solve_with_a_tiny_row_table_is_unchanged(monkeypatch, beta):
+    g = random_graph(30, 7, keep=0.6)
+    params = AcoParams(n_ants=10, n_iterations=25, seed=13, beta=beta)
+    full = solve(g, MODEL, params)
+    budget = 8 * g.n_nodes * 9  # 8 stored rows and the scratch row
+    monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget)
+    space = aco._Space(g, MODEL, beta, budget)
+    assert (space.row_of >= 0).sum() == 8 < len(arrival_pairs(g)) // 40
+    h, i = np.array(arrival_pairs(g)).T  # misses computed per step, bit for bit
+    assert np.array_equal(space.eta_pow_rows(h, i).view(np.uint64),
+                          space.computed_rows(h, i).view(np.uint64))
+    tiny = solve(g, MODEL, params)
+    assert tiny.best_tour == full.best_tour
+    assert tiny.best_cost_history == full.best_cost_history
+    assert tiny.best_iteration == full.best_iteration
+
+
+@pytest.mark.parametrize("n", [80, 160, 400])
+def test_row_table_build_stays_within_its_budget(n):
+    g = random_graph(n, 3)
+    space = aco._Space(g, MODEL, 3.0)  # no table yet
+    budget = aco._ROW_TABLE_BYTES
     tracemalloc.start()
     try:
-        space = aco._Space(g, MODEL, 3.0)
+        row_of, table = space.heading_rows(budget)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert space.eta_pow.shape == (81, 80, 80)
-    assert peak < 1.5 * space.eta_pow.nbytes
+    assert table.nbytes <= budget
+    assert peak < 1.5 * table.nbytes
+    space.row_of, space.table = row_of, table
+    h, i, rows = stored_pairs(space)
+    if table.shape[0] - 1 < len(arrival_pairs(g)):
+        assert table.nbytes > budget - 8 * n  # the budget is spent
+    # each node keeps a nearest-first prefix of its predecessors
+    for node in range(n):
+        preds = np.nonzero(g.adj[:, node])[0]
+        by_leg = preds[np.argsort(space.dist[preds, node], kind="stable")]
+        kept = h[i == node]
+        kept = kept[kept >= 0]
+        assert sorted(kept.tolist()) == sorted(by_leg[:kept.size].tolist())
+    assert (-1, g.home) in zip(h.tolist(), i.tolist())
+
+
+def test_construct_tour_builds_no_row_table():
+    g = random_graph(150, 2, keep=0.8)
+    tau = np.ones((150, 150))
+    tracemalloc.start()
+    try:
+        tour = construct_tour(g, MODEL, tau, AcoParams(), random.Random(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tour.nodes) > 1
+    # the (n + 1, n, n) table alone would take 27 MB here
+    assert peak < 12 * 150 * 150 * 8
 
 
 def test_pow_eta_at_beta_one_is_the_reciprocal():
@@ -383,7 +434,7 @@ def test_solve_rejects_an_overflowing_energy_scale(variant, model, scale):
         solve(g, model, AcoParams(variant=variant, n_ants=3, n_iterations=2))
 
 
-@pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (40, 2), (aco._TABLE_NODE_LIMIT + 5, 3)])
+@pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (40, 2), (155, 3)])
 def test_nearest_neighbour_cost_matches_scalar_greedy_oracle(n, seed):
     g = random_graph(n, seed)
     assert not g.adj[~np.eye(n, dtype=bool)].all()  # some edges pruned
@@ -404,7 +455,7 @@ def test_solve_reuses_its_space_for_the_greedy_reference(monkeypatch):
     monkeypatch.setattr(aco, "nearest_neighbour_cost", spy)
     solve(g, MODEL, AcoParams(n_ants=4, n_iterations=1))
     ((_, _, space),) = calls
-    assert space.eta_pow is not None  # the solve's own space, table and all
+    assert space.table.shape[0] > 1  # the solve's own space, table and all
     assert nearest_neighbour_cost(g, MODEL, space) == want
 
 
