@@ -9,7 +9,7 @@ and two ant-colony variants (AS, MMAS). A benchmark harness compares them
 over seeded trials, and plans can be exported as JSON paths or SVG drawings.
 """
 
-from .aco import AcoParams, SolverRun, construct_tour, nearest_neighbour_cost, solve
+from .aco import AcoParams, SolverRun, nearest_neighbour_cost, solve
 from .baseline import plan_back_and_forth
 from .energy import EnergyModel, Tour, heuristic, path_metrics, tour_cost
 from .fleet import (
@@ -65,7 +65,6 @@ __all__ = [
     "TrialReport",
     "WaypointSet",
     "build_graph",
-    "construct_tour",
     "export_path",
     "generate_waypoints",
     "heuristic",

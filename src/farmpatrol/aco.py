@@ -16,13 +16,12 @@ the hop would require. An ant that strands on a node with no unvisited
 neighbours, or that cannot close the loop back to home, yields an invalid
 tour and deposits nothing.
 
-All ants of an iteration are constructed in lockstep on numpy arrays; the
-same engine runs single constructions (construct_tour) with a batch of one.
-A step reads the eta^beta row of each ant's (previous node, node) pair. solve
-keeps up to _ROW_TABLE_BYTES of these rows, each node's nearest predecessors
-first, at every graph size, and computes the others per step by the same
-formula; construct_tour keeps none. Which rows are kept changes speed and
-memory, never a tour (see _Space).
+solve is the only entry point. All ants of an iteration are constructed in
+lockstep on numpy arrays (_construct_batch). A step reads the eta^beta row
+of each ant's (previous node, node) pair. solve keeps up to _ROW_TABLE_BYTES
+of these rows, each node's nearest predecessors first, at every graph size,
+and computes the others per step by the same formula. Which rows are kept
+changes speed and memory, never a tour (see _Space).
 The closed tours of an iteration are costed together, row by row, with the
 same arithmetic as tour_cost. Incomplete walks are costed only while no
 complete tour has been found (the best of them is returned when none ever
@@ -32,10 +31,8 @@ Randomness is CPython's random.Random (the stdlib Mersenne twister) stream
 of random() values, one per walking ant per step, read through getrandbits
 (_uniform_block), bit for bit the values successive random() calls give.
 solve owns its random.Random(seed) and draws that stream in blocks of
-_DRAW_BLOCK values (_Uniforms); construct_tour takes exactly the values
-each step needs from the caller's rng, leaving it as that many random()
-calls would. So a seed maps to the same tours on any platform whose numpy
-build gives the same floating-point results.
+_DRAW_BLOCK values (_Uniforms). So a seed maps to the same tours on any
+platform whose numpy build gives the same floating-point results.
 """
 
 from __future__ import annotations
@@ -111,17 +108,16 @@ class _Space:
     (h = -1: no heading yet). An ant only arrives over an edge, so the rows
     a step can read are those of the pairs (h, i) with adj[h, i], plus
     (-1, home). table keeps the rows of as many of these pairs as fit in
-    table_bytes, each node's nearest predecessors first, then a scratch
+    _ROW_TABLE_BYTES, each node's nearest predecessors first, then a scratch
     row; row_of[h, i] is the pair's row in table, or -1 (the scratch row,
-    overwritten in the step's copy). A pair not kept has
-    its row computed per step by the same formula (computed_rows), bit for
-    bit the stored row. The reference farm's graphs keep every pair; at 156
-    nodes about 20 predecessors per node fit in _ROW_TABLE_BYTES. With beta
-    None only the geometry is set up (for nearest_neighbour_cost).
+    overwritten in the step's copy). A pair not kept has its row computed
+    per step by the same formula (computed_rows), bit for bit the stored
+    row. The reference farm's graphs keep every pair; at 156 nodes about 20
+    predecessors per node fit. With beta None only the geometry is set up
+    (for nearest_neighbour_cost).
     """
 
-    def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None,
-                 table_bytes: int = 0):
+    def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None):
         if not model.lambda_kj_per_m > 0:
             raise ValueError("solver needs a positive distance coefficient")
         self.n = g.n_nodes
@@ -138,7 +134,7 @@ class _Space:
         # lambda * d with pruned pairs at infinity so their weight vanishes
         self.den = np.where(g.adj, model.lambda_kj_per_m * d, np.inf)
         if beta is not None:
-            self.row_of, self.table = self.heading_rows(table_bytes)
+            self.row_of, self.table = self.heading_rows(_ROW_TABLE_BYTES)
             # some arrival pair has no stored row
             self.partial = self.table.shape[0] < 2 + g.adj.sum()
 
@@ -404,21 +400,6 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
     return total / n
 
 
-def construct_tour(g: RouteGraph, model: EnergyModel, tau: np.ndarray,
-                   params: AcoParams, rng: random.Random) -> Tour:
-    """Sample a single ant tour under the given trail matrix."""
-    n = g.n_nodes
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (n, n):
-        raise ValueError(f"tau must have shape ({n}, {n}), got {tau.shape}")
-    space = _Space(g, model, params.beta)
-    tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
-    # exact draws, no block: the caller's rng ends as one random() per ant step would
-    paths, lengths, closed = _construct_batch(
-        space, 1, tau_pow, lambda k: _uniform_block(rng, k))
-    return _as_tour(g, model, tuple(paths[0, :lengths[0]].tolist()), bool(closed[0]))
-
-
 def _as_tour(g: RouteGraph, model: EnergyModel, nodes: tuple[int, ...],
              complete: bool) -> Tour:
     if len(nodes) < 2:
@@ -451,7 +432,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     n = g.n_nodes
     n_ants, rho = _resolve(g, params)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in q
-        space = _Space(g, model, params.beta, _ROW_TABLE_BYTES)
+        space = _Space(g, model, params.beta)
         q = nearest_neighbour_cost(g, model, space)
     if not (math.isfinite(q) and q > 0.0):
         raise ValueError(f"energy scale out of range for this map: the greedy reference "

@@ -23,13 +23,13 @@ from pathlib import Path
 
 from .aco import AcoParams
 from .energy import EnergyModel
-from .fleet import PlanningError, plan_fleet
+from .fleet import SOLVERS, PlanningError, plan_fleet
 from .harness import BenchConfig, run_benchmark
 from .render import export_path, render_svg
 from .routegraph import DisconnectedGraphError, build_graph
 from .world import FarmMap, MapSchemaError, generate_waypoints, load_map
 
-_SOLVER_NAMES = {"as": "AS", "mmas": "MMAS", "back-and-forth": "back-and-forth"}
+_SOLVER_NAMES = {name.lower(): name for name in SOLVERS}
 DEFAULT_SEED = 42
 
 
@@ -58,19 +58,20 @@ def _load(args) -> FarmMap:
     return load_map(doc)
 
 
+def _given(**kw) -> dict:
+    """The keyword arguments whose flag was given; the others are left to
+    the library's own defaults."""
+    return {key: value for key, value in kw.items() if value is not None}
+
+
 def _model(args) -> EnergyModel:
-    kw = {}
-    if args.lambda_ is not None:
-        kw["lambda_kj_per_m"] = args.lambda_
-    if args.gamma is not None:
-        kw["gamma_kj_per_deg"] = args.gamma
-    return EnergyModel(**kw)
+    return EnergyModel(**_given(lambda_kj_per_m=args.lambda_, gamma_kj_per_deg=args.gamma))
 
 
 def _params(args, seed: int) -> AcoParams:
     # plan_fleet takes the variant from the solver name
-    return AcoParams(n_ants=args.ants, n_iterations=args.iterations,
-                     alpha=args.alpha, beta=args.beta, rho=args.rho, seed=seed)
+    return AcoParams(seed=seed, **_given(n_ants=args.ants, n_iterations=args.iterations,
+                                         alpha=args.alpha, beta=args.beta, rho=args.rho))
 
 
 def cmd_validate(args) -> int:
@@ -148,8 +149,8 @@ def cmd_plan(args) -> int:
 def cmd_bench(args) -> int:
     farm = _load(args)
     base_seed = _resolve_seed(args.base_seed)
-    cfg = BenchConfig(n_trials=args.trials, base_seed=base_seed, model=_model(args),
-                      aco=_params(args, base_seed))
+    cfg = BenchConfig(base_seed=base_seed, model=_model(args), aco=_params(args, base_seed),
+                      **_given(n_trials=args.trials))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary, reports, best = run_benchmark(farm, cfg)
@@ -200,13 +201,13 @@ def _add_model_args(p):
 
 
 def _add_aco_args(p):
-    p.add_argument("--alpha", type=float, default=1.0, help="trail exponent")
-    p.add_argument("--beta", type=float, default=3.0, help="heuristic exponent")
+    p.add_argument("--alpha", type=float, default=None, help="trail exponent")
+    p.add_argument("--beta", type=float, default=None, help="heuristic exponent")
     p.add_argument("--rho", type=float, default=None,
                    help="evaporation rate (default 0.5 AS, 0.05 MMAS)")
     p.add_argument("--ants", type=int, default=None,
                    help="ants per iteration (default: one per waypoint, max 50)")
-    p.add_argument("--iterations", type=int, default=300, help="colony iterations")
+    p.add_argument("--iterations", type=int, default=None, help="colony iterations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark grid")
     _add_map_arg(p)
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=int, default=None, help="seeded trials per colony cell")
     p.add_argument("--base-seed", type=int, default=None,
                    help="seed of trial 0 (default: $GUARD_SEED, then 42)")
     p.add_argument("--out-dir", default="bench_out")

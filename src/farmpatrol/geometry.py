@@ -130,15 +130,6 @@ def point_segment_distance(p: Point2D, a: Point2D, b: Point2D) -> float:
     return math.hypot(apx - t * abx, apy - t * aby)
 
 
-def segment_segment_distance(s: Segment2D, t: Segment2D) -> float:
-    if segments_intersect(s.a, s.b, t.a, t.b):
-        return 0.0
-    return min(point_segment_distance(s.a, t.a, t.b),
-               point_segment_distance(s.b, t.a, t.b),
-               point_segment_distance(t.a, s.a, s.b),
-               point_segment_distance(t.b, s.a, s.b))
-
-
 def point_clearance(p: Point2D, obstacle: Obstacle) -> float:
     """Distance from p to the obstacle region; 0 when p touches or lies inside."""
     if isinstance(obstacle, Circle):
@@ -156,8 +147,16 @@ def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
     if isinstance(obstacle, Circle):
         d = point_segment_distance(obstacle.center, seg.a, seg.b)
         return max(0.0, d - obstacle.radius)
-    # rectangle: an endpoint inside means contact; otherwise the nearest
-    # approach, 0 on a crossing, is realised against one of the four edges
-    if obstacle.contains(seg.a) or obstacle.contains(seg.b):
+    # rectangle: an endpoint inside or a crossing of an edge means contact;
+    # otherwise the nearest approach is from an endpoint to an edge or from a
+    # corner to the segment
+    a, b = seg.a, seg.b
+    if obstacle.contains(a) or obstacle.contains(b):
         return 0.0
-    return min(segment_segment_distance(seg, e) for e in obstacle.edges())
+    corners = obstacle.corners()
+    edges = tuple(zip(corners, corners[1:] + corners[:1]))  # as Rect.edges
+    if any(segments_intersect(a, b, p, q) for p, q in edges):
+        return 0.0
+    return min([point_segment_distance(a, p, q) for p, q in edges]
+               + [point_segment_distance(b, p, q) for p, q in edges]
+               + [point_segment_distance(c, a, b) for c in corners])

@@ -20,8 +20,7 @@ from .fleet import SOLVERS, FleetPlan, plan_fleet
 from .world import FarmMap, generate_waypoints
 
 SCHEMA_VERSION = 1
-PROBLEMS = ("single", "dual")
-_DRONES = {"single": 1, "dual": 2}
+PROBLEMS = {"single": 1, "dual": 2}  # problem -> number of drones
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,8 +143,7 @@ def run_benchmark(farm: FarmMap, config: BenchConfig | None = None):
     best_plans: dict[tuple[str, str], FleetPlan] = {}
     cell_errors: dict[tuple[str, str], str] = {}
 
-    for problem in PROBLEMS:
-        n_drones = _DRONES[problem]
+    for problem, n_drones in PROBLEMS.items():
         for solver in SOLVERS:
             if solver == "back-and-forth":
                 seeds = [config.base_seed]

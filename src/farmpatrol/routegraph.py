@@ -2,8 +2,9 @@
 
 Nodes are integers: waypoints first (in ascending grid index), the home
 station last. An edge exists when the straight segment between the two nodes
-keeps at least clearance_m distance to every obstacle; pruned pairs can still
-be reached through detours, found with :func:`shortest_detour`.
+keeps at least FarmMap.clear_m distance to every obstacle (a leg that touches
+or crosses one is never clear); pruned pairs can still be reached through
+detours, found with :func:`shortest_detour`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class RouteGraph:
     xy: np.ndarray                     # (n, 2) node coordinates, metres
     adj: np.ndarray                    # (n, n) bool, symmetric, False diagonal
     waypoint_grid_ids: tuple[int, ...]  # node i < home -> index into the WaypointSet
-    station_index: int                 # which map station is home
 
     @property
     def dist(self) -> np.ndarray:
@@ -94,12 +94,13 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
     dist = pair_distances(xy)
 
     adj = np.zeros((n, n), dtype=bool)
+    need = farm.clear_m
     for i in range(n):
         for j in range(i + 1, n):
             if dist[i, j] == 0.0:
                 continue  # coincident nodes cannot share a flyable edge
             seg = Segment2D(pts[i], pts[j])
-            if all(min_clearance(seg, obs) >= farm.clearance_m for obs in farm.obstacles):
+            if all(min_clearance(seg, obs) >= need for obs in farm.obstacles):
                 adj[i, j] = adj[j, i] = True
 
     home = n - 1
@@ -120,7 +121,7 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
 
     xy.setflags(write=False)
     adj.setflags(write=False)
-    return RouteGraph(xy, adj, tuple(grid_ids), station)
+    return RouteGraph(xy, adj, tuple(grid_ids))
 
 
 def shortest_detour(g: RouteGraph, a: int, b: int) -> list[int]:

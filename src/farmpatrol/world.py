@@ -64,12 +64,20 @@ class FarmMap:
         return (self.perimeter_min.x <= p.x <= self.perimeter_max.x
                 and self.perimeter_min.y <= p.y <= self.perimeter_max.y)
 
+    @property
+    def clear_m(self) -> float:
+        """The distance a waypoint, station or flight leg must keep from every
+        obstacle to be clear: clearance_m, but at least the smallest positive
+        float, so touching or lying inside an obstacle is never clear, even
+        at clearance_m = 0."""
+        return max(self.clearance_m, math.ulp(0.0))
+
 
 @dataclass(frozen=True, slots=True)
 class WaypointSet:
     """Grid waypoints in row-major order (x varies fastest) plus a validity
-    mask: a waypoint is valid when it keeps at least clearance_m distance to
-    every obstacle."""
+    mask: a waypoint is valid when it keeps at least FarmMap.clear_m distance
+    to every obstacle."""
 
     points: tuple[Point2D, ...]
     valid: tuple[bool, ...]
@@ -195,15 +203,16 @@ def load_map(document: str | bytes | dict) -> FarmMap:
             f"grid_spacing_m: {spacing:g} m lays more than {MAX_GRID_POINTS} "
             f"grid points over the perimeter")
 
+    need = farm.clear_m
     for i, st in enumerate(stations):
         if not farm.contains(st):
             raise MapSchemaError(f"stations[{i}]: outside perimeter")
         for j, obs in enumerate(obstacles):
             d = point_clearance(st, obs)
-            if d < clearance:
+            if d < need:
+                gap = f"{d:.2f} m < {clearance:.2f} m from" if d > 0 else "touches or lies inside"
                 raise MapSchemaError(
-                    f"stations[{i}]: station violates clearance "
-                    f"({d:.2f} m < {clearance:.2f} m from obstacles[{j}])")
+                    f"stations[{i}]: station violates clearance ({gap} obstacles[{j}])")
     return farm
 
 
@@ -217,9 +226,11 @@ def generate_waypoints(farm: FarmMap) -> WaypointSet:
 
     Points sit at min_corner + (col * spacing, row * spacing), kept while they
     stay inside the perimeter (boundary inclusive). Validity requires at least
-    clearance_m of distance to every obstacle; exact equality counts as valid.
+    farm.clear_m of distance to every obstacle; exact equality counts as valid
+    when clearance_m > 0.
     """
     s = farm.grid_spacing_m
+    need = farm.clear_m
     n_rows, n_cols = _grid_shape(farm)
     points = []
     valid = []
@@ -227,8 +238,7 @@ def generate_waypoints(farm: FarmMap) -> WaypointSet:
         for col in range(n_cols):
             p = Point2D(farm.perimeter_min.x + col * s, farm.perimeter_min.y + row * s)
             points.append(p)
-            valid.append(all(point_clearance(p, obs) >= farm.clearance_m
-                             for obs in farm.obstacles))
+            valid.append(all(point_clearance(p, obs) >= need for obs in farm.obstacles))
     return WaypointSet(tuple(points), tuple(valid), n_rows, n_cols)
 
 

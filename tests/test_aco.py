@@ -10,7 +10,7 @@ import pytest
 import oracles
 from farmpatrol import aco
 from farmpatrol.aco import (
-    AcoParams, construct_tour, nearest_neighbour_cost, solve,
+    AcoParams, nearest_neighbour_cost, solve,
 )
 from farmpatrol.energy import EnergyModel, tour_cost
 from farmpatrol.fleet import plan_fleet
@@ -34,7 +34,7 @@ def graph_from(waypoints_xy, home_xy, edges=None):
     else:
         for a, b in edges:
             adj[a, b] = adj[b, a] = True
-    return RouteGraph(xy, adj, tuple(range(n - 1)), 0)
+    return RouteGraph(xy, adj, tuple(range(n - 1)))
 
 
 def open_map(width=100, height=100, station=(-10, 0), spacing=38.0):
@@ -72,23 +72,33 @@ def test_params_validation():
     assert p.rho == 0.2
 
 
+def construct_tours(g, tau, seed=0, m=1, alpha=1.0, beta=3.0, draw=None):
+    """Run m ants through _construct_batch the way solve does: one _Space,
+    tau^alpha and the block-drawn uniforms of random.Random(seed) (or the
+    given draw). Returns each ant's (nodes, closed), in ant order."""
+    space = aco._Space(g, MODEL, beta)
+    tau_pow = tau if alpha == 1.0 else np.power(tau, alpha)
+    if draw is None:
+        draw = aco._Uniforms(random.Random(seed)).take
+    paths, lengths, closed = aco._construct_batch(space, m, tau_pow, draw)
+    return [(tuple(paths[k, :lengths[k]].tolist()), bool(closed[k])) for k in range(m)]
+
+
 def test_construct_tour_completes_on_complete_graph():
     g = graph_from([(0, 0), (38, 0), (38, 38), (0, 38)], (-10, -10))
     tau = np.ones((g.n_nodes, g.n_nodes))
-    t = construct_tour(g, MODEL, tau, AcoParams(), random.Random(1))
-    assert t.is_valid
-    assert t.nodes[0] == t.nodes[-1] == g.home
-    assert sorted(t.nodes[1:-1]) == [0, 1, 2, 3]
+    ((nodes, closed),) = construct_tours(g, tau, seed=1)
+    assert closed and tour_cost(g, MODEL, nodes).is_valid
+    assert nodes[0] == nodes[-1] == g.home
+    assert sorted(nodes[1:-1]) == [0, 1, 2, 3]
 
 
 def test_construct_tour_first_hop_uniform_when_blind():
     # beta = 0 and a uniform trail matrix: the three first hops are equally likely
     g = graph_from([(30, 0), (0, 30), (-30, 0)], (0, 0))
     tau = np.ones((4, 4))
-    params = AcoParams(beta=0.0)
-    rng = random.Random(7)
-    counts = Counter(construct_tour(g, MODEL, tau, params, rng).nodes[1]
-                     for _ in range(10_000))
+    counts = Counter(nodes[1] for nodes, _ in
+                     construct_tours(g, tau, seed=7, m=10_000, beta=0.0))
     for leaf in (0, 1, 2):
         assert abs(counts[leaf] / 10_000 - 1 / 3) < 0.02
 
@@ -97,30 +107,36 @@ def test_construct_tour_follows_trail_bias():
     g = graph_from([(30, 0), (0, 30), (-30, 0)], (0, 0))
     tau = np.full((4, 4), 1e-6)
     tau[3, 1] = tau[1, 3] = 1000.0
-    params = AcoParams(beta=0.0)
-    rng = random.Random(0)
-    assert all(construct_tour(g, MODEL, tau, params, rng).nodes[1] == 1
-               for _ in range(100))
+    assert all(nodes[1] == 1 for nodes, _ in construct_tours(g, tau, m=100, beta=0.0))
 
 
 def test_construct_tour_strands_on_star():
     g = star_graph()
     tau = np.ones((4, 4))
-    t = construct_tour(g, MODEL, tau, AcoParams(), random.Random(3))
-    assert not t.is_valid
-    assert len(t.nodes) == 2  # home plus the one reachable leaf
-    assert t.nodes[0] == g.home
+    ((nodes, closed),) = construct_tours(g, tau, seed=3)
+    assert not closed and not tour_cost(g, MODEL, nodes).is_valid
+    assert len(nodes) == 2  # home plus the one reachable leaf
+    assert nodes[0] == g.home
 
 
 def test_construct_tour_draws_one_random_per_walking_ant():
-    # construct_tour takes exactly one rng.random() per walking ant per step
-    # from the caller's rng, so the value after one call is pinned
-    farm = reference_farm()
-    g = build_graph(farm, generate_waypoints(farm), 0)
-    rng = random.Random(5)
-    t = construct_tour(g, MODEL, np.ones((g.n_nodes, g.n_nodes)), AcoParams(), rng)
-    assert t.is_valid
-    assert rng.random() == float.fromhex("0x1.e1c79b3dfcd58p-1")
+    # draw is called once per step, for the ants still walking: an ant that
+    # strands on a step draws nothing from then on
+    g = random_graph(25, 5)
+    tau = np.ones((g.n_nodes, g.n_nodes))
+    take = aco._Uniforms(random.Random(8)).take
+    calls = []
+
+    def draw(k):
+        calls.append(k)
+        return take(k)
+
+    ants = construct_tours(g, tau, m=12, draw=draw)
+    assert ants == construct_tours(g, tau, seed=8, m=12)  # recording changes nothing
+    walked = np.array([len(nodes) for nodes, _ in ants])
+    assert 0 < sum(closed for _, closed in ants) < 12  # some ants strand
+    walking = [int((walked > step).sum()) for step in range(1, g.n_waypoints + 1)]
+    assert calls == [k for k in walking if k > 0]
 
 
 def test_uniform_blocks_equal_successive_random_calls():
@@ -137,12 +153,6 @@ def test_uniform_blocks_equal_successive_random_calls():
         exact = random.Random(seed)
         assert np.concatenate([aco._uniform_block(exact, k) for k in sizes]).tolist() == want
         assert exact.getstate() == rng.getstate()
-
-
-def test_construct_tour_rejects_bad_tau_shape():
-    g = star_graph()
-    with pytest.raises(ValueError, match="shape"):
-        construct_tour(g, MODEL, np.ones((3, 3)), AcoParams(), random.Random(0))
 
 
 def test_solve_on_star_reports_invalid():
@@ -169,9 +179,7 @@ def test_solve_deterministic_per_seed():
 def test_distinct_seeds_explore_distinct_tours_without_trails():
     g = graph_from([(30, 0), (0, 30), (-30, 0), (0, -30)], (5, 5))
     tau = np.ones((5, 5))
-    params = AcoParams(alpha=0.0)
-    tours = {construct_tour(g, MODEL, tau, params, random.Random(s)).nodes
-             for s in range(10)}
+    tours = {construct_tours(g, tau, seed=s, alpha=0.0)[0][0] for s in range(10)}
     assert len(tours) >= 2
 
 
@@ -317,7 +325,7 @@ def stored_pairs(space):
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5, 3.0])
 def test_stored_heading_rows_equal_computed_rows(beta):
     g = random_graph(40, 6)
-    space = aco._Space(g, MODEL, beta, aco._ROW_TABLE_BYTES)
+    space = aco._Space(g, MODEL, beta)
     h, i, rows = stored_pairs(space)
     assert sorted(zip(h.tolist(), i.tolist())) == sorted(arrival_pairs(g))  # all fit
     assert np.array_equal(np.sort(rows), np.arange(space.table.shape[0] - 1))
@@ -335,7 +343,7 @@ def test_solve_with_a_tiny_row_table_is_unchanged(monkeypatch, beta):
     full = solve(g, MODEL, params)
     budget = 8 * g.n_nodes * 9  # 8 stored rows and the scratch row
     monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget)
-    space = aco._Space(g, MODEL, beta, budget)
+    space = aco._Space(g, MODEL, beta)
     assert (space.row_of >= 0).sum() == 8 < len(arrival_pairs(g)) // 40
     h, i = np.array(arrival_pairs(g)).T  # misses computed per step, bit for bit
     assert np.array_equal(space.eta_pow_rows(h, i).view(np.uint64),
@@ -349,9 +357,9 @@ def test_solve_with_a_tiny_row_table_is_unchanged(monkeypatch, beta):
 @pytest.mark.parametrize("n", [80, 160, 400])
 def test_row_table_build_stays_within_its_budget(n):
     g = random_graph(n, 3)
-    space = aco._Space(g, MODEL, 3.0)  # no table yet
+    space = aco._Space(g, MODEL, 3.0)
     budget = aco._ROW_TABLE_BYTES
-    tracemalloc.start()
+    tracemalloc.start()  # rebuild the space's table, traced
     try:
         row_of, table = space.heading_rows(budget)
         _, peak = tracemalloc.get_traced_memory()
@@ -359,7 +367,8 @@ def test_row_table_build_stays_within_its_budget(n):
         tracemalloc.stop()
     assert table.nbytes <= budget
     assert peak < 1.5 * table.nbytes
-    space.row_of, space.table = row_of, table
+    assert np.array_equal(row_of, space.row_of)
+    assert np.array_equal(table[:-1], space.table[:-1])  # the last row is scratch
     h, i, rows = stored_pairs(space)
     if table.shape[0] - 1 < len(arrival_pairs(g)):
         assert table.nbytes > budget - 8 * n  # the budget is spent
@@ -371,20 +380,6 @@ def test_row_table_build_stays_within_its_budget(n):
         kept = kept[kept >= 0]
         assert sorted(kept.tolist()) == sorted(by_leg[:kept.size].tolist())
     assert (-1, g.home) in zip(h.tolist(), i.tolist())
-
-
-def test_construct_tour_builds_no_row_table():
-    g = random_graph(150, 2, keep=0.8)
-    tau = np.ones((150, 150))
-    tracemalloc.start()
-    try:
-        tour = construct_tour(g, MODEL, tau, AcoParams(), random.Random(3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(tour.nodes) > 1
-    # the (n + 1, n, n) table alone would take 27 MB here
-    assert peak < 12 * 150 * 150 * 8
 
 
 def test_pow_eta_at_beta_one_is_the_reciprocal():

@@ -4,7 +4,9 @@ import pytest
 
 import farmpatrol.cli
 import farmpatrol.harness
+from farmpatrol.aco import AcoParams
 from farmpatrol.cli import main
+from farmpatrol.harness import BenchConfig
 
 
 def write_map(path, **overrides):
@@ -182,6 +184,30 @@ def test_plan_seed_resolution(farm_file, tmp_path, monkeypatch):
     assert run([], "b.json", env="7") == flagged            # env fallback
     assert run(["--seed", "7"], "c.json", env="99") == flagged  # flag wins
     assert run([], "d.json") == run(["--seed", "42"], "e.json")  # default 42
+
+
+@pytest.mark.parametrize("command", ["plan", "bench"])
+def test_bare_command_keeps_the_library_defaults(farm_file, tmp_path, monkeypatch, command):
+    # flags left out are not passed on, so AcoParams and BenchConfig set them
+    monkeypatch.delenv("GUARD_SEED", raising=False)
+    calls = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):  # record the params or config, then end the command
+        calls.append(args[-1])
+        raise Stop
+
+    monkeypatch.setattr(farmpatrol.cli, "plan_fleet", stop)
+    monkeypatch.setattr(farmpatrol.cli, "run_benchmark", stop)
+    out = ["--out", str(tmp_path / "x.json")] if command == "plan" \
+        else ["--out-dir", str(tmp_path / "bench")]
+    with pytest.raises(Stop):
+        main([command, farm_file, *out])
+    want = {"plan": AcoParams(seed=42),
+            "bench": BenchConfig(base_seed=42, aco=AcoParams(seed=42))}[command]
+    assert calls == [want]
 
 
 def test_plan_rejects_unknown_solver(farm_file):

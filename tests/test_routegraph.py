@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from farmpatrol.geometry import Circle, Point2D, Rect
+from farmpatrol.fleet import plan_fleet
+from farmpatrol.geometry import Circle, Point2D, Rect, Segment2D, min_clearance
 from farmpatrol.routegraph import DisconnectedGraphError, build_graph, shortest_detour
 from farmpatrol.world import FarmMap, generate_waypoints
 
@@ -62,6 +63,28 @@ def test_central_obstacle_prunes_crossing_edges():
     # edges passing well clear remain
     assert g.has_edge(node_of(0, 0), node_of(38, 0))
     assert g.has_edge(node_of(0, 0), node_of(0, 76))
+
+
+def test_zero_clearance_prunes_legs_that_touch_or_cross_obstacles():
+    obstacles = (Circle(Point2D(40, 20), 12.0), Rect(Point2D(0, 30), Point2D(10, 40)))
+    m = make_map(80, 40, obstacles, stations=((80, 0),), clearance=0.0, spacing=20.0)
+    w = generate_waypoints(m)
+    g = build_graph(m, w, 0)
+    node_of = {g.point(k): k for k in range(g.n_nodes)}
+
+    def edge(a, b):
+        return g.has_edge(node_of[Point2D(*a)], node_of[Point2D(*b)])
+
+    assert not edge((20, 20), (60, 20))  # through the circle
+    assert not edge((0, 20), (20, 40))   # through the rect's corner (10, 30)
+    assert edge((20, 20), (20, 40))      # 8 m from the circle, 10 m from the rect
+    plan = plan_fleet(m, w, 1, "back-and-forth")
+    assert plan.valid
+    (drone,) = plan.drones
+    nodes = drone.tour.nodes
+    for a, b in zip(nodes, nodes[1:]):
+        leg = Segment2D(g.point(a), g.point(b))
+        assert all(min_clearance(leg, obs) > 0 for obs in obstacles)
 
 
 def test_enclosed_waypoint_raises_disconnected():

@@ -1,15 +1,23 @@
-"""The names perfbench/run.py wraps or reads.
+"""The package's public names, and the names perfbench/run.py wraps or reads.
 
-perfbench is not part of this suite, so a rename or removal here would only
-show when the benchmark runs; this test makes it show in the unit tests.
+A stale __all__ entry would only fail on `from farmpatrol import *`, and
+perfbench is not part of this suite, so a rename or removal would only show
+when the benchmark runs; these tests make both show in the unit tests.
 """
 
 import dataclasses
 
+import farmpatrol
 from farmpatrol import aco, baseline, fleet, routegraph
 from farmpatrol.aco import SolverRun
 from farmpatrol.fleet import DronePlan
 from farmpatrol.world import WaypointSet
+
+
+def test_every_public_name_resolves_once():
+    names = farmpatrol.__all__
+    assert sorted(set(names)) == sorted(names), "a name repeats in __all__"
+    assert [name for name in names if not hasattr(farmpatrol, name)] == []
 
 
 def test_names_the_benchmark_relies_on():

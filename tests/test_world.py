@@ -95,6 +95,21 @@ def test_station_inside_obstacle_rejected():
         load_map(doc)
 
 
+def test_zero_clearance_never_admits_contact():
+    # at clearance 0 a waypoint or station inside an obstacle, or on its
+    # boundary, is still not clear
+    doc = minimal_doc(perimeter={"min": [0, 0], "max": [80, 40]},
+                      obstacles=[{"type": "circle", "center": [40, 20], "radius": 12},
+                                 {"type": "rect", "min": [0, 30], "max": [10, 40]}],
+                      stations=[[80, 0]], clearance_m=0, grid_spacing_m=20)
+    w = generate_waypoints(load_map(doc))
+    invalid = [p for p, ok in zip(w.points, w.valid) if not ok]
+    assert invalid == [Point2D(40, 20), Point2D(0, 40)]  # inside the circle, the rect's corner
+    for station in ([40, 20], [10, 35]):  # inside the circle, on the rect's edge
+        with pytest.raises(MapSchemaError, match="touches or lies inside obstacles"):
+            load_map({**doc, "stations": [station]})
+
+
 def test_station_outside_perimeter_rejected():
     with pytest.raises(MapSchemaError, match=r"stations\[0\]"):
         load_map(minimal_doc(stations=[[150, 50]]))
