@@ -28,11 +28,11 @@ complete tour has been found (the best of them is returned when none ever
 is) or when solve is traced.
 
 Randomness is CPython's random.Random (the stdlib Mersenne twister) stream
-of random() values, one per walking ant per step, read through getrandbits
-(_uniform_block), bit for bit the values successive random() calls give.
-solve owns its random.Random(seed) and draws that stream in blocks of
-_DRAW_BLOCK values (_Uniforms). So a seed maps to the same tours on any
-platform whose numpy build gives the same floating-point results.
+of random() values, one per walking ant per step. solve owns its
+random.Random(seed) and reads that stream through getrandbits in blocks of
+_DRAW_BLOCK values (_Uniforms), bit for bit the values successive random()
+calls give. So a seed maps to the same tours on any platform whose numpy
+build gives the same floating-point results.
 """
 
 from __future__ import annotations
@@ -158,8 +158,6 @@ class _Space:
         nearest predecessor, then every node's second nearest, and so on,
         nodes in ascending order within a rank."""
         n = self.n
-        if k == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         degree = self.adj.sum(axis=0)
         depth = 0  # predecessor ranks needed to fill k rows
         while depth < degree.max() and 1 + np.minimum(degree, depth).sum() < k:
@@ -228,25 +226,20 @@ class _Uniforms:
         self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
+        """random() turns two successive 32-bit Mersenne twister words
+        (w0, w1) into ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53; getrandbits
+        lays the same words out least significant first."""
         if self._pos + k > self._buf.size:
             rest = self._buf[self._pos:]
-            block = _uniform_block(self._rng, max(_DRAW_BLOCK, k - rest.size))
+            size = max(_DRAW_BLOCK, k - rest.size)
+            words = np.frombuffer(self._rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
+                                  dtype="<u4")
+            block = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
             self._buf = np.concatenate([rest, block])
             self._pos = 0
         out = self._buf[self._pos:self._pos + k]
         self._pos += k
         return out
-
-
-def _uniform_block(rng: random.Random, k: int) -> np.ndarray:
-    """The next k values of rng.random(), from one getrandbits(64 k) call.
-
-    random() turns two successive 32-bit Mersenne twister words (w0, w1)
-    into ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53; getrandbits lays the same
-    words out least significant first.
-    """
-    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
 def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
@@ -402,8 +395,6 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
 
 def _as_tour(g: RouteGraph, model: EnergyModel, nodes: tuple[int, ...],
              complete: bool) -> Tour:
-    if len(nodes) < 2:
-        return Tour(nodes, 0.0, 0.0, 0.0, False)
     tour = tour_cost(g, model, nodes)
     if complete and not tour.is_valid:
         raise AssertionError("constructed tour failed the structural check")

@@ -27,7 +27,7 @@ from .fleet import SOLVERS, PlanningError, plan_fleet
 from .harness import BenchConfig, run_benchmark
 from .render import export_path, render_svg
 from .routegraph import DisconnectedGraphError, build_graph
-from .world import FarmMap, MapSchemaError, generate_waypoints, load_map
+from .world import FarmMap, MapSchemaError, generate_waypoints, load_map, read_map_document
 
 _SOLVER_NAMES = {name.lower(): name for name in SOLVERS}
 DEFAULT_SEED = 42
@@ -46,15 +46,10 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _load(args) -> FarmMap:
-    text = Path(args.map).read_text()
-    doc = json.loads(text)
-    # overrides re-enter full validation so e.g. a larger clearance that
-    # swallows a station still fails loudly
+    doc = read_map_document(args.map)
+    # overrides re-enter full validation: a clearance that swallows a station fails
     if isinstance(doc, dict):
-        if getattr(args, "spacing", None) is not None:
-            doc["grid_spacing_m"] = args.spacing
-        if getattr(args, "clearance", None) is not None:
-            doc["clearance_m"] = args.clearance
+        doc.update(_given(grid_spacing_m=args.spacing, clearance_m=args.clearance))
     return load_map(doc)
 
 
@@ -268,13 +263,7 @@ def main(argv=None) -> int:
     except PlanningError as exc:
         print(f"planning error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:  # a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"map error: map file is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # any other rejected input, e.g. a bad flag or GUARD_SEED
+    except (OSError, ValueError) as exc:  # a file I/O failure, a bad flag or GUARD_SEED, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

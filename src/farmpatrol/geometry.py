@@ -61,11 +61,6 @@ class Rect:
         lo, hi = self.min_corner, self.max_corner
         return (lo, Point2D(hi.x, lo.y), hi, Point2D(lo.x, hi.y))
 
-    def edges(self) -> tuple[Segment2D, Segment2D, Segment2D, Segment2D]:
-        c = self.corners()
-        return (Segment2D(c[0], c[1]), Segment2D(c[1], c[2]),
-                Segment2D(c[2], c[3]), Segment2D(c[3], c[0]))
-
 
 Obstacle = Circle | Rect
 
@@ -130,13 +125,18 @@ def point_segment_distance(p: Point2D, a: Point2D, b: Point2D) -> float:
     return math.hypot(apx - t * abx, apy - t * aby)
 
 
+def _sides(corners: tuple[Point2D, ...]) -> tuple[tuple[Point2D, Point2D], ...]:
+    """A rectangle's edges as corner pairs, in the order of its corners."""
+    return tuple(zip(corners, corners[1:] + corners[:1]))
+
+
 def point_clearance(p: Point2D, obstacle: Obstacle) -> float:
     """Distance from p to the obstacle region; 0 when p touches or lies inside."""
     if isinstance(obstacle, Circle):
         return max(0.0, distance(p, obstacle.center) - obstacle.radius)
     if obstacle.contains(p):
         return 0.0
-    return min(point_segment_distance(p, e.a, e.b) for e in obstacle.edges())
+    return min(point_segment_distance(p, q, r) for q, r in _sides(obstacle.corners()))
 
 
 def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
@@ -154,9 +154,9 @@ def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
     if obstacle.contains(a) or obstacle.contains(b):
         return 0.0
     corners = obstacle.corners()
-    edges = tuple(zip(corners, corners[1:] + corners[:1]))  # as Rect.edges
-    if any(segments_intersect(a, b, p, q) for p, q in edges):
+    sides = _sides(corners)
+    if any(segments_intersect(a, b, p, q) for p, q in sides):
         return 0.0
-    return min([point_segment_distance(a, p, q) for p, q in edges]
-               + [point_segment_distance(b, p, q) for p, q in edges]
+    return min([point_segment_distance(a, p, q) for p, q in sides]
+               + [point_segment_distance(b, p, q) for p, q in sides]
                + [point_segment_distance(c, a, b) for c in corners])

@@ -17,9 +17,9 @@ Map files are JSON:
 "obstacles", "clearance_m" and "grid_spacing_m" are optional (defaults: none,
 10 m, 38 m). Unknown fields are rejected so typos fail loudly. The waypoint
 grid may hold at most MAX_GRID_POINTS (10 000) points, rows x cols, so a tiny
-grid_spacing_m fails at load time instead of planning for hours. All
-validation errors are :class:`MapSchemaError` with the offending field path
-in the message.
+grid_spacing_m fails at load time instead of planning for hours. Every error,
+text that is not UTF-8 JSON, a NaN token, a number past the float range or deep
+nesting included, is a :class:`MapSchemaError` naming the field if there is one.
 """
 
 from __future__ import annotations
@@ -101,9 +101,13 @@ class WaypointSet:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MapSchemaError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise MapSchemaError(f"{path}: must be finite, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range: inf, as it reads from a file
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise MapSchemaError(f"{path}: must be finite, got {number!r}")
+    return number
 
 
 def _point(value, path: str) -> Point2D:
@@ -147,16 +151,31 @@ def _reject_constant(token: str):
     raise MapSchemaError(f"map file contains non-finite number token {token!r}")
 
 
+def _parse(text: str | bytes):
+    try:
+        if isinstance(text, bytes):  # as json.loads, but no encoded lone surrogates
+            text = text.decode(json.detect_encoding(text))
+        # ints parse as floats: one past the float range is inf, rejected where used
+        return json.loads(text, parse_constant=_reject_constant, parse_int=float)
+    except MapSchemaError:  # a ValueError too: passed on as it is
+        raise
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
+        raise MapSchemaError(f"map file is not valid JSON: {exc}") from exc
+
+
+def read_map_document(path):
+    """The map file's document, parsed for load_map but not validated."""
+    with open(path, "rb") as fh:
+        return _parse(fh.read())
+
+
 def load_map(document: str | bytes | dict) -> FarmMap:
     """Parse and validate a map document (JSON text or an already-parsed dict).
 
     Raises MapSchemaError naming the offending field on any violation.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise MapSchemaError(f"map file is not valid JSON: {exc}") from exc
+        document = _parse(document)
     if not isinstance(document, dict):
         raise MapSchemaError("map document must be a JSON object")
     _check_fields(document, _TOP_FIELDS, "")
@@ -217,8 +236,7 @@ def load_map(document: str | bytes | dict) -> FarmMap:
 
 
 def load_map_file(path) -> FarmMap:
-    with open(path, "rb") as fh:
-        return load_map(fh.read())
+    return load_map(read_map_document(path))
 
 
 def generate_waypoints(farm: FarmMap) -> WaypointSet:

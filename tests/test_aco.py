@@ -149,10 +149,6 @@ def test_uniform_blocks_equal_successive_random_calls():
         rng = random.Random(seed)
         want = [rng.random() for _ in range(sum(sizes))]
         assert np.concatenate(got).tolist() == want
-        # unbuffered, each block leaves the rng where the random() calls do
-        exact = random.Random(seed)
-        assert np.concatenate([aco._uniform_block(exact, k) for k in sizes]).tolist() == want
-        assert exact.getstate() == rng.getstate()
 
 
 def test_solve_on_star_reports_invalid():

@@ -124,6 +124,22 @@ def test_point_clearance():
     assert point_clearance(P(5, 0), circ) == 3.0
 
 
+def test_point_clearance_on_rects_matches_clamp_oracle():
+    rng = random.Random(17)
+    for _ in range(400):
+        x0, y0 = rng.uniform(-50, 50), rng.uniform(-50, 50)
+        x1, y1 = x0 + rng.uniform(0.1, 40), y0 + rng.uniform(0.1, 40)
+        rect = Rect(P(x0, y0), P(x1, y1))
+        # on an edge or corner line, inside, and on either side beyond it:
+        # every pair is inside, on an edge or corner, or in a side or corner region
+        xs = (x0, x1, rng.uniform(x0, x1), rng.uniform(x0 - 30, x0), rng.uniform(x1, x1 + 30))
+        ys = (y0, y1, rng.uniform(y0, y1), rng.uniform(y0 - 30, y0), rng.uniform(y1, y1 + 30))
+        for px in xs:
+            for py in ys:
+                want = oracles.point_rect_clearance(px, py, x0, y0, x1, y1)
+                assert point_clearance(P(px, py), rect) == pytest.approx(want, rel=1e-12)
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         Circle(P(0, 0), 0.0)
