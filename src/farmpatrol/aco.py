@@ -19,11 +19,12 @@ tour and deposits nothing.
 solve is the only entry point. All ants of an iteration are constructed in
 lockstep on numpy arrays (_construct_batch). A step reads the eta^beta row
 of each ant's (previous node, node) pair. solve keeps up to _ROW_TABLE_BYTES
-of these rows, each node's nearest predecessors first, at every graph size,
-and computes the others per step by the same formula. Which rows are kept
-changes speed and memory, never a tour (see _Space).
+of these rows, those of the shortest arrival legs first, at every graph
+size, and computes the others per step by the same formula. Which rows are
+kept changes speed and memory, never a tour (see _Space).
 The closed tours of an iteration are costed together, row by row, with the
-same arithmetic as tour_cost. Incomplete walks are costed only while no
+same arithmetic as tour_cost and the energy coefficients held by the
+solve's one _Space. Incomplete walks are costed only while no
 complete tour has been found (the best of them is returned when none ever
 is) or when solve is traced.
 
@@ -102,19 +103,19 @@ class SolverRun:
 class _Space:
     """Precomputed arrays for fast construction on one graph + model.
 
-    dist holds the Euclidean length of every node pair and den = lambda *
-    dist, with pruned pairs at infinity. eta_pow_rows(h, i) gives the (m, n)
-    eta^beta rows for hops out of i[k] by an ant that arrived from h[k]
-    (h = -1: no heading yet). An ant only arrives over an edge, so the rows
-    a step can read are those of the pairs (h, i) with adj[h, i], plus
-    (-1, home). table keeps the rows of as many of these pairs as fit in
-    _ROW_TABLE_BYTES, each node's nearest predecessors first, then a scratch
-    row; row_of[h, i] is the pair's row in table, or -1 (the scratch row,
-    overwritten in the step's copy). A pair not kept has its row computed
-    per step by the same formula (computed_rows), bit for bit the stored
-    row. The reference farm's graphs keep every pair; at 156 nodes about 20
-    predecessors per node fit. With beta None only the geometry is set up
-    (for nearest_neighbour_cost).
+    lam and gamma are the model's coefficients, dist holds the Euclidean
+    length of every node pair and den = lam * dist, with pruned pairs at
+    infinity. eta_pow_rows(h, i) gives the (m, n) eta^beta rows for hops out
+    of i[k] by an ant that arrived from h[k] (h = -1: no heading yet). An ant
+    only arrives over an edge, so the rows a step can read are those of the
+    pairs (h, i) with adj[h, i], plus (-1, home). table keeps the rows of as
+    many of these pairs as fit in _ROW_TABLE_BYTES, shortest arrival legs
+    first, then a scratch row; row_of[h, i] is the pair's row in table, or -1
+    (the scratch row, overwritten in the step's copy). A pair not kept has
+    its row computed per step by the same formula (computed_rows), bit for
+    bit the stored row. The reference farm's graphs keep every pair; at 156
+    nodes about 20 arrivals per node fit, on average. With beta None only the
+    geometry is set up (for nearest_neighbour_cost).
     """
 
     def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None):
@@ -125,6 +126,7 @@ class _Space:
         self.adj = g.adj
         self.xy = g.xy
         self.beta = beta
+        self.lam = model.lambda_kj_per_m
         self.gamma = model.gamma_kj_per_deg
         self.dist = d = pair_distances(g.xy)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -132,7 +134,7 @@ class _Space:
             uy = np.where(d > 0, (g.xy[None, :, 1] - g.xy[:, None, 1]) / d, 0.0)
         self.ux, self.uy = ux, uy
         # lambda * d with pruned pairs at infinity so their weight vanishes
-        self.den = np.where(g.adj, model.lambda_kj_per_m * d, np.inf)
+        self.den = np.where(g.adj, self.lam * d, np.inf)
         if beta is not None:
             self.row_of, self.table = self.heading_rows(_ROW_TABLE_BYTES)
             # some arrival pair has no stored row
@@ -141,9 +143,10 @@ class _Space:
     def heading_rows(self, table_bytes: int) -> tuple[np.ndarray, np.ndarray]:
         """(row_of, table) for a table of at most table_bytes (one scratch
         row at least). Built a slice at a time, so the build's peak stays
-        near the table's own size at any n."""
+        near the table's size plus row_of, an (n + 1) x n int32 map: the
+        table's size at small n, but row_of alone is 2.4 MiB at 800 nodes."""
         n = self.n
-        h, i = self._nearest_arrivals(max(0, table_bytes // (8 * n) - 1))
+        h, i = self._shortest_arrivals(max(0, table_bytes // (8 * n) - 1))
         row_of = np.full((n + 1, n), -1, dtype=np.int32)
         row_of[h, i] = np.arange(h.size)
         table = np.empty((h.size + 1, n))
@@ -153,22 +156,16 @@ class _Space:
             stored[a:a + chunk] = self.computed_rows(h[a:a + chunk], i[a:a + chunk])
         return row_of, table
 
-    def _nearest_arrivals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first k arrival pairs (h, i): (-1, home), then every node's
-        nearest predecessor, then every node's second nearest, and so on,
-        nodes in ascending order within a rank."""
-        n = self.n
-        degree = self.adj.sum(axis=0)
-        depth = 0  # predecessor ranks needed to fill k rows
-        while depth < degree.max() and 1 + np.minimum(degree, depth).sum() < k:
-            depth += 1
-        near = np.empty((depth, n), dtype=np.int64)
-        cols = max(1, k // 16)  # sort a slice of columns at a time
-        for a in range(0, n, cols):
-            legs = np.where(self.adj[:, a:a + cols], self.dist[:, a:a + cols], np.inf)
-            near[:, a:a + cols] = np.argsort(legs, axis=0, kind="stable")[:depth]
-        rank = np.arange(depth)[:, None]
-        h, i = near[rank < degree], np.nonzero(rank < degree)[1]
+    def _shortest_arrivals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first k arrival pairs (h, i): (-1, home), then the k - 1
+        shortest arrival edges by leg length."""
+        h = i = np.empty(0, dtype=np.int64)
+        cols = max(1, k // 16)  # merge a slice of columns at a time
+        for a in range(0, self.n, cols):
+            sh, si = np.nonzero(self.adj[:, a:a + cols])
+            h, i = np.concatenate([h, sh]), np.concatenate([i, si + a])
+            keep = np.argsort(self.dist[h, i], kind="stable")[:max(0, k - 1)]
+            h, i = h[keep], i[keep]
         return (np.concatenate([[-1], h])[:k],
                 np.concatenate([[self.home], i])[:k])
 
@@ -242,6 +239,9 @@ class _Uniforms:
         return out
 
 
+# w *= free in a step makes nan of an infinite weight on a visited node, which
+# the step handles; set per batch, since entering errstate costs ~2 us
+@np.errstate(invalid="ignore")
 def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                      draw: Callable[[int], np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,9 +278,9 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
         tot = w.sum(axis=1)
         if not tot.min() > 0.0:
             # some row has no positive total: a dead end, every option
-            # underflowed to zero, or an infinite weight (coincident nodes)
-            # turned into nan on a visited node; zero the visited nodes
-            # outright and look again
+            # underflowed to zero, or an infinite weight (coincident nodes, a
+            # tiny lambda) turned into nan on a visited node; zero the
+            # visited nodes outright and look again
             w[free == 0.0] = 0.0
             tot = w.sum(axis=1)
             empty = tot <= 0.0
@@ -329,19 +329,19 @@ def _resolve(g: RouteGraph, params: AcoParams) -> tuple[int, float]:
     return n_ants, rho
 
 
-def _tour_costs(space: _Space, lam: float, gam: float, tours: np.ndarray) -> np.ndarray:
+def _tour_costs(space: _Space, tours: np.ndarray) -> np.ndarray:
     """Energy of each row of an (m, k) array of equal-length node walks,
     bit for bit what tour_cost gives for the same walk."""
     dist, turn = path_metrics_rows(space.xy[tours])
-    return lam * dist + gam * turn
+    return space.lam * dist + space.gamma * turn
 
 
-def _walk_cost(space: _Space, lam: float, gam: float, nodes: np.ndarray) -> float:
+def _walk_cost(space: _Space, nodes: np.ndarray) -> float:
     """Energy of one node walk of any length; inf below two nodes."""
     if len(nodes) < 2:
         return math.inf
     dist, turn = path_metrics(space.xy[nodes])
-    return lam * dist + gam * turn
+    return space.lam * dist + space.gamma * turn
 
 
 def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
@@ -355,7 +355,6 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
     """
     if space is None:
         space = _Space(g, model)
-    lam, gam = model.lambda_kj_per_m, model.gamma_kj_per_deg
     n = g.n_nodes
     starts = np.arange(n)
     walks = np.empty((n, n + 1), dtype=np.int64)
@@ -367,7 +366,7 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
     rows = starts  # starts still walking
     for step in range(1, n):
         c = cur[rows]
-        hop = lam * dist[c] + gam * space.theta_rows(prev[rows], c)
+        hop = space.lam * dist[c] + space.gamma * space.theta_rows(prev[rows], c)
         hop[seen[rows]] = np.inf
         hop[dist[c] == 0.0] = np.inf  # coincident nodes are not hops
         nxt = np.argmin(hop, axis=1)
@@ -384,9 +383,9 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
 
     costs = np.zeros(n)
     full = lengths == n
-    costs[full] = _tour_costs(space, lam, gam, walks[full])
+    costs[full] = _tour_costs(space, walks[full])
     for k in np.nonzero(~full & (lengths > 1))[0]:
-        costs[k] = _walk_cost(space, lam, gam, walks[k, :lengths[k] + 1])
+        costs[k] = _walk_cost(space, walks[k, :lengths[k] + 1])
     total = 0.0
     for cost in costs.tolist():  # a running sum in start order
         total += cost
@@ -430,7 +429,6 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
                          f"tour costs {q!r} kJ (lambda_kj_per_m {model.lambda_kj_per_m!r}, "
                          f"gamma_kj_per_deg {model.gamma_kj_per_deg!r})")
     draw = _Uniforms(random.Random(params.seed)).take
-    lam, gam = model.lambda_kj_per_m, model.gamma_kj_per_deg
 
     if params.variant == "AS":
         tau = np.full((n, n), n_ants / q)
@@ -449,7 +447,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
         paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, draw)
         tours = paths[closed]
-        costs = _tour_costs(space, lam, gam, tours)
+        costs = _tour_costs(space, tours)
         if costs.size:
             k = int(np.argmin(costs))  # first of equals, as a scan in ant order
             if costs[k] < best_cost:
@@ -459,7 +457,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         if trace is not None or best_nodes is None:
             for k in np.nonzero(~closed)[0].tolist():
                 walk = paths[k, :lengths[k]]
-                walk_costs[k] = cost = _walk_cost(space, lam, gam, walk)
+                walk_costs[k] = cost = _walk_cost(space, walk)
                 if cost < fallback_cost:
                     fallback_nodes, fallback_cost = tuple(walk.tolist()), cost
         history.append(best_cost)

@@ -24,13 +24,12 @@ from pathlib import Path
 from .aco import AcoParams
 from .energy import EnergyModel
 from .fleet import SOLVERS, PlanningError, plan_fleet
-from .harness import BenchConfig, run_benchmark
+from .harness import DEFAULT_SEED, BenchConfig, run_benchmark
 from .render import export_path, render_svg
 from .routegraph import DisconnectedGraphError, build_graph
 from .world import FarmMap, MapSchemaError, generate_waypoints, load_map, read_map_document
 
 _SOLVER_NAMES = {name.lower(): name for name in SOLVERS}
-DEFAULT_SEED = 42
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -144,7 +143,7 @@ def cmd_plan(args) -> int:
 def cmd_bench(args) -> int:
     farm = _load(args)
     base_seed = _resolve_seed(args.base_seed)
-    cfg = BenchConfig(base_seed=base_seed, model=_model(args), aco=_params(args, base_seed),
+    cfg = BenchConfig(model=_model(args), aco=_params(args, base_seed),
                       **_given(n_trials=args.trials))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=sorted(_SOLVER_NAMES), default="as")
     p.add_argument("--drones", type=int, choices=(1, 2), default=1)
     p.add_argument("--seed", type=int, default=None,
-                   help="colony seed (default: $GUARD_SEED, then 42)")
+                   help=f"colony seed (default: $GUARD_SEED, then {DEFAULT_SEED})")
     p.add_argument("--out", default="tour.json", help="path export file")
     p.add_argument("--svg", default=None, help="also render the plan to SVG")
     _add_model_args(p)
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_arg(p)
     p.add_argument("--trials", type=int, default=None, help="seeded trials per colony cell")
     p.add_argument("--base-seed", type=int, default=None,
-                   help="seed of trial 0 (default: $GUARD_SEED, then 42)")
+                   help=f"seed of trial 0 (default: $GUARD_SEED, then {DEFAULT_SEED})")
     p.add_argument("--out-dir", default="bench_out")
     _add_model_args(p)
     _add_aco_args(p)

@@ -1,11 +1,12 @@
 """Benchmark harness: run the solver x problem grid over seeded trials and
 summarise costs against the back-and-forth baseline.
 
-Trial i of a stochastic solver uses seed base_seed + i; the deterministic
-baseline runs once per problem. The harness only returns data: reports and
-the summary turn into JSON via to_json_dict, both carrying "schema": 1, and
-the caller decides where they go. Everything except wall_time_ms is
-reproducible bit for bit for a given map and configuration.
+Trial i of a stochastic solver uses seed config.aco.seed + i; the
+deterministic baseline runs once per problem, with config.aco.seed. The
+harness only returns data: reports and the summary turn into JSON via
+to_json_dict, both carrying "schema": 1, and the caller decides where they
+go. Everything except wall_time_ms is reproducible bit for bit for a given
+map and configuration.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .fleet import SOLVERS, FleetPlan, plan_fleet
 from .world import FarmMap, generate_waypoints
 
 SCHEMA_VERSION = 1
+DEFAULT_SEED = 42
 PROBLEMS = {"single": 1, "dual": 2}  # problem -> number of drones
 
 
@@ -80,9 +82,8 @@ class BenchSummary:
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
     n_trials: int = 30
-    base_seed: int = 42
     model: EnergyModel = field(default_factory=EnergyModel)
-    aco: AcoParams = field(default_factory=AcoParams)
+    aco: AcoParams = field(default_factory=lambda: AcoParams(seed=DEFAULT_SEED))
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -146,9 +147,9 @@ def run_benchmark(farm: FarmMap, config: BenchConfig | None = None):
     for problem, n_drones in PROBLEMS.items():
         for solver in SOLVERS:
             if solver == "back-and-forth":
-                seeds = [config.base_seed]
+                seeds = [config.aco.seed]
             else:
-                seeds = [config.base_seed + i for i in range(config.n_trials)]
+                seeds = [config.aco.seed + i for i in range(config.n_trials)]
             for seed in seeds:
                 params = replace(config.aco, seed=seed)  # plan_fleet sets the variant
                 t0 = time.perf_counter()
@@ -168,5 +169,5 @@ def run_benchmark(farm: FarmMap, config: BenchConfig | None = None):
                     best_plans[key] = plan
 
     reports.sort(key=lambda r: (r.solver, r.problem, r.seed))
-    summary = summarize(reports, cell_errors, config.n_trials, config.base_seed)
+    summary = summarize(reports, cell_errors, config.n_trials, config.aco.seed)
     return summary, reports, best_plans

@@ -1,4 +1,5 @@
-"""SVG rendering of maps and plans, plus flight-path export.
+"""SVG rendering of a map and a FleetPlan, plus flight-path export at the
+altitude each drone flies.
 
 Output is deterministic: fixed styling tables, fixed float formatting and no
 timestamps, so identical inputs give byte-identical documents. One SVG unit
@@ -42,27 +43,20 @@ def _star(cx: float, cy: float, r: float) -> str:
     return " ".join(pts)
 
 
-def _normalise_plans(plans) -> list[tuple[Tour, RouteGraph, float | None]]:
-    if isinstance(plans, FleetPlan):
-        return [(d.tour, d.graph, d.altitude_m) for d in plans.drones]
-    return [(tour, graph, None) for tour, graph in plans or ()]
-
-
 def render_svg(farm: FarmMap, waypoints: WaypointSet | None = None,
-               plans=None) -> str:
-    """Draw the farm, optionally its waypoint grid and planned tours.
+               plan: FleetPlan | None = None) -> str:
+    """Draw the farm, optionally its waypoint grid and a plan's tours.
 
-    plans may be a FleetPlan, whose tours are labelled with their drone's
-    altitude, or a sequence of (tour, graph) pairs; each tour gets its own
-    colour and direction arrows.
+    Each drone's tour gets its own colour, direction arrows and a label
+    with the drone's altitude.
     """
-    entries = _normalise_plans(plans)
+    drones = plan.drones if plan is not None else ()
 
     xs = [farm.perimeter_min.x, farm.perimeter_max.x] + [s.x for s in farm.stations]
     ys = [farm.perimeter_min.y, farm.perimeter_max.y] + [s.y for s in farm.stations]
-    for _, g, _ in entries:
-        xs.extend(g.xy[:, 0].tolist())
-        ys.extend(g.xy[:, 1].tolist())
+    for d in drones:
+        xs.extend(d.graph.xy[:, 0].tolist())
+        ys.extend(d.graph.xy[:, 1].tolist())
     x0, y1 = min(xs) - MARGIN_M, max(ys) + MARGIN_M
     width = max(xs) - min(xs) + 2 * MARGIN_M
     height = max(ys) - min(ys) + 2 * MARGIN_M
@@ -78,7 +72,7 @@ def render_svg(farm: FarmMap, waypoints: WaypointSet | None = None,
         f'width="{_fmt(width)}" height="{_fmt(height)}">',
         "<defs>",
     ]
-    for i in range(len(entries)):
+    for i in range(len(drones)):
         color = TOUR_COLORS[i % len(TOUR_COLORS)]
         parts.append(
             f'<marker id="arrow{i}" viewBox="0 0 6 6" refX="5" refY="3" '
@@ -112,16 +106,17 @@ def render_svg(farm: FarmMap, waypoints: WaypointSet | None = None,
             parts.append(f'<circle class="{cls}" cx="{tx(p.x)}" cy="{ty(p.y)}" '
                          f'r="2.2" fill="{fill}"/>')
 
-    for i, (tour, g, altitude) in enumerate(entries):
-        if len(tour.nodes) < 2:
+    for i, d in enumerate(drones):
+        if len(d.tour.nodes) < 2:
             continue
+        g = d.graph
         color = TOUR_COLORS[i % len(TOUR_COLORS)]
-        coords = " ".join(f"{tx(g.xy[n, 0])},{ty(g.xy[n, 1])}" for n in tour.nodes)
+        coords = " ".join(f"{tx(g.xy[n, 0])},{ty(g.xy[n, 1])}" for n in d.tour.nodes)
         parts.append(
             f'<polyline class="tour" points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.8" stroke-opacity="0.85" marker-mid="url(#arrow{i})" '
             f'marker-end="url(#arrow{i})"/>')
-        label = f"drone {i}" + (f" ({_fmt(altitude)} m)" if altitude is not None else "")
+        label = f"drone {i} ({_fmt(d.altitude_m)} m)"
         hx, hy = g.xy[g.home, 0], g.xy[g.home, 1]
         parts.append(
             f'<text class="tour-label" x="{tx(hx + 4)}" y="{ty(hy - 6 - 10 * i)}" '
@@ -135,7 +130,7 @@ def render_svg(farm: FarmMap, waypoints: WaypointSet | None = None,
     return "\n".join(parts) + "\n"
 
 
-def export_path(tour: Tour, g: RouteGraph, altitude_m: float = 20.0) -> dict:
+def export_path(tour: Tour, g: RouteGraph, altitude_m: float) -> dict:
     """Flight-order waypoint list with cost metadata, ready for json.dumps.
 
     The coordinates alone reproduce the stored cost (to float precision), so

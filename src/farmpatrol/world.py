@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -37,6 +38,8 @@ DEFAULT_GRID_SPACING_M = 38.0
 MAX_GRID_POINTS = 10_000
 
 _TOP_FIELDS = {"perimeter", "obstacles", "stations", "clearance_m", "grid_spacing_m"}
+_ECHO = reprlib.Repr()  # a document value in an error: short as repr, long or deep cut
+_ECHO.maxlevel, _ECHO.maxlist, _ECHO.maxdict = 2, 4, 4
 
 
 class MapSchemaError(ValueError):
@@ -100,13 +103,13 @@ class WaypointSet:
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MapSchemaError(f"{path}: expected a number, got {value!r}")
+        raise MapSchemaError(f"{path}: expected a number, got {_ECHO.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an int past the float range: inf, as it reads from a file
         number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
-        raise MapSchemaError(f"{path}: must be finite, got {number!r}")
+        raise MapSchemaError(f"{path}: must be finite, got {_ECHO.repr(number)}")
     return number
 
 
@@ -119,6 +122,8 @@ def _point(value, path: str) -> Point2D:
 def _check_fields(obj: dict, allowed: set[str], path: str):
     for key in obj:
         if key not in allowed:
+            if not (isinstance(key, str) and key.isprintable() and len(key) <= _ECHO.maxstring):
+                key = _ECHO.repr(key)
             raise MapSchemaError(f"{path}{key}: unknown field")
 
 
@@ -144,7 +149,7 @@ def _parse_obstacle(value, path: str) -> Obstacle:
         if not (lo.x < hi.x and lo.y < hi.y):
             raise MapSchemaError(f"{path}: min corner must be strictly below max corner")
         return Rect(lo, hi)
-    raise MapSchemaError(f"{path}.type: expected 'circle' or 'rect', got {kind!r}")
+    raise MapSchemaError(f"{path}.type: expected 'circle' or 'rect', got {_ECHO.repr(kind)}")
 
 
 def _reject_constant(token: str):

@@ -425,6 +425,20 @@ def test_solve_rejects_an_overflowing_energy_scale(variant, model, scale):
         solve(g, model, AcoParams(variant=variant, n_ants=3, n_iterations=2))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+@pytest.mark.parametrize("beta", [3.0, 1.0, 0.5])
+def test_tiny_distance_coefficient_solves_without_a_warning(variant, beta):
+    # eta = 1 / (lambda * d) overflows to inf, and inf times a visited
+    # node's 0 is nan inside the step
+    farm = reference_farm()
+    g = build_graph(farm, generate_waypoints(farm), 0)
+    model = EnergyModel(1e-320, 0.0173)
+    run = solve(g, model, AcoParams(variant=variant, n_iterations=3, beta=beta))
+    assert run.best_tour.is_valid
+    assert run.best_tour == tour_cost(g, model, run.best_tour.nodes)
+
+
 @pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (40, 2), (155, 3)])
 def test_nearest_neighbour_cost_matches_scalar_greedy_oracle(n, seed):
     g = random_graph(n, seed)

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -7,6 +8,8 @@ import farmpatrol.harness
 from farmpatrol.aco import AcoParams
 from farmpatrol.cli import main
 from farmpatrol.harness import BenchConfig
+
+REFERENCE_MAP = str(resources.files("farmpatrol").joinpath("data/reference_farm.json"))
 
 
 def write_map(path, **overrides):
@@ -206,7 +209,7 @@ def test_bare_command_keeps_the_library_defaults(farm_file, tmp_path, monkeypatc
     with pytest.raises(Stop):
         main([command, farm_file, *out])
     want = {"plan": AcoParams(seed=42),
-            "bench": BenchConfig(base_seed=42, aco=AcoParams(seed=42))}[command]
+            "bench": BenchConfig()}[command]
     assert calls == [want]
 
 
@@ -263,6 +266,14 @@ def test_plan_determinism_across_runs(farm_file, tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would otherwise reach stderr
+@pytest.mark.parametrize("flags", [[], ["--solver", "mmas", "--drones", "2"]])
+def test_tiny_distance_coefficient_plans_silently(tmp_path, capsys, flags):
+    assert main(["plan", REFERENCE_MAP, "--lambda", "1e-320", "--iterations", "3",
+                 "--out", str(tmp_path / "tour.json"), *flags]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["plan", "bench"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import statistics
 
@@ -11,7 +12,7 @@ from farmpatrol.harness import (
 )
 from farmpatrol.world import FarmMap
 
-FAST_ACO = AcoParams(n_ants=4, n_iterations=15)
+FAST_ACO = AcoParams(n_ants=4, n_iterations=15, seed=42)
 
 
 def open_map(width=100, height=100, stations=((-10, 0),)):
@@ -65,7 +66,7 @@ def test_summarize_orders_cells():
 
 
 def test_run_benchmark_counts_and_order():
-    cfg = BenchConfig(n_trials=3, base_seed=7, aco=FAST_ACO)
+    cfg = BenchConfig(n_trials=3, aco=dataclasses.replace(FAST_ACO, seed=7))
     summary, reports, best = run_benchmark(open_map(), cfg)
     # 1 baseline trial + 3 each for AS and MMAS; the dual cells error (one station)
     assert len(reports) == 7
@@ -75,6 +76,13 @@ def test_run_benchmark_counts_and_order():
         (r.solver, r.problem, r.seed) for r in reports)
     assert ("AS", "single") in best and best[("AS", "single")].valid
     assert summary.n_trials == 3 and summary.base_seed == 7
+
+
+def test_bench_seed_has_one_home():
+    # trial i runs with the AcoParams seed + i (see the test above); no other
+    # field sets a seed, and the default bench runs seeds 42-71
+    assert [f.name for f in dataclasses.fields(BenchConfig)] == ["n_trials", "model", "aco"]
+    assert BenchConfig() == BenchConfig(30, EnergyModel(), AcoParams(seed=42))
 
 
 def test_run_benchmark_dual_cell_error_with_one_station():

@@ -157,3 +157,53 @@ def test_load_map_file_reads_through_the_same_parser(tmp_path):
         load_map_file(p)
     with pytest.raises(OSError):
         load_map_file(tmp_path / "missing.json")
+
+
+
+def nested(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def as_text(doc) -> tuple[dict, bytes]:
+    return doc, json.dumps(doc).encode()
+
+
+# (document, its map text), either None: json.dumps cannot write the deep
+# list, and the parser cannot read the deep array text into a document
+ECHOED = {
+    "100000-deep list": ({**SMALL, "clearance_m": nested(100_000)}, None),
+    "900-deep array text": (None, with_raw(SMALL, ["clearance_m"], "[" * 900 + "]" * 900)),
+    "100000-char string": as_text({**SMALL, "clearance_m": "x" * 100_000}),
+    "50000-char obstacle type": as_text(replaced(SMALL, ["obstacles", 0, "type"], "c" * 50_000)),
+    "50000-char field name": as_text({**SMALL, "k" * 50_000: 1}),
+    "field name with a newline": as_text({**SMALL, "a\nb": 1}),
+}
+
+
+@pytest.mark.parametrize("doc,data", ECHOED.values(), ids=ECHOED.keys())
+def test_rejected_values_are_echoed_bounded(tmp_path, capsys, doc, data):
+    for document in (doc, data):
+        if document is not None:
+            with pytest.raises(MapSchemaError) as exc:
+                load_map(document)
+            message = str(exc.value)
+            assert len(message) < 300 and "\n" not in message
+    if data is not None:
+        code, err = run_validate(tmp_path, capsys, data)
+        assert code == 2 and len(err) == 1 and err[0].startswith("map error: ")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({**SMALL, "clearance_m": "abc"}, "clearance_m: expected a number, got 'abc'"),
+    ({**SMALL, "clearance_m": [1, 2]}, "clearance_m: expected a number, got [1, 2]"),
+    (replaced(SMALL, ["obstacles", 0, "type"], "cube"),
+     "obstacles[0].type: expected 'circle' or 'rect', got 'cube'"),
+    ({**SMALL, "fences": []}, "fences: unknown field"),
+])
+def test_short_rejected_values_are_echoed_whole(doc, message):
+    with pytest.raises(MapSchemaError) as exc:
+        load_map(doc)
+    assert str(exc.value) == message

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from farmpatrol.aco import AcoParams
-from farmpatrol.energy import EnergyModel, Tour, tour_cost
+from farmpatrol.energy import EnergyModel, Tour
 from farmpatrol.fleet import plan_fleet
 from farmpatrol.render import export_path, render_svg, verify_export
 from farmpatrol.routegraph import build_graph
@@ -60,15 +60,6 @@ def test_north_is_up(farm, waypoints):
     assert y_attr == pytest.approx(12.0)  # margin above the north edge
 
 
-def test_tours_accept_tuple_form(farm, waypoints):
-    import numpy as np
-    g = build_graph(farm, waypoints, 0)
-    nb = int(np.nonzero(g.adj[g.home])[0][0])
-    tour = tour_cost(g, MODEL, (g.home, nb, g.home), allow_revisits=True)
-    svg = render_svg(farm, plans=[(tour, g)])
-    assert svg.count('class="tour"') == 1
-
-
 def test_export_path_round_trip(farm, waypoints):
     plan = plan_fleet(farm, waypoints, 1, "AS", MODEL, FAST)
     d = plan.drones[0]
@@ -88,4 +79,4 @@ def test_export_path_rejects_foreign_nodes(farm, waypoints):
     g = build_graph(farm, waypoints, 0)
     bogus = Tour((g.home, 99, g.home), 1.0, 0.0, 1.0, False)
     with pytest.raises(ValueError, match="99"):
-        export_path(bogus, g)
+        export_path(bogus, g, 20.0)
