@@ -28,6 +28,22 @@ solve's one _Space. Incomplete walks are costed only while no
 complete tour has been found (the best of them is returned when none ever
 is) or when solve is traced.
 
+solve ends every run that found a complete tour with a best-improvement,
+turn-aware 2-opt of that tour (_two_opt; Croes 1958). A move reverses
+positions i..j: it swaps two legs for two new ones, which must be graph
+edges, and changes at most four turns, none at home. One numpy pass scores
+every legal move from the solve's _Space (_reversal_deltas), measuring new
+turns only where a lower bound can still improve. The best move is recosted
+exactly and kept only if that cost is strictly lower, so the pass ends. The
+colony itself never sees the polished tour.
+
+The weights of a step are scaled by powers of two, which is exact and so
+changes no choice: eta by the one that brings the larger energy coefficient
+into [0.5, 1), and the trails, each iteration, by the one that brings the
+largest into [0.5, 1). So eta^beta and tau^alpha stay finite for tiny
+coefficients and huge exponents, and only underflow, which ends in the
+step's uniform rescue.
+
 Randomness is CPython's random.Random (the stdlib Mersenne twister) stream
 of random() values, one per walking ant per step. solve owns its
 random.Random(seed) and reads that stream through getrandbits in blocks of
@@ -91,6 +107,8 @@ class SolverRun:
 
     best_iteration is the 1-based iteration that found best_tour, or 0 when
     no ant completed a tour (best_tour is then the best incomplete walk).
+    It equals the number of iterations when the closing 2-opt polish found
+    best_tour; the last history entry is then the polished cost.
     Whether the run found a coverage tour is best_tour.is_valid.
     """
 
@@ -104,18 +122,19 @@ class _Space:
     """Precomputed arrays for fast construction on one graph + model.
 
     lam and gamma are the model's coefficients, dist holds the Euclidean
-    length of every node pair and den = lam * dist, with pruned pairs at
-    infinity. eta_pow_rows(h, i) gives the (m, n) eta^beta rows for hops out
-    of i[k] by an ant that arrived from h[k] (h = -1: no heading yet). An ant
-    only arrives over an edge, so the rows a step can read are those of the
-    pairs (h, i) with adj[h, i], plus (-1, home). table keeps the rows of as
-    many of these pairs as fit in _ROW_TABLE_BYTES, shortest arrival legs
-    first, then a scratch row; row_of[h, i] is the pair's row in table, or -1
-    (the scratch row, overwritten in the step's copy). A pair not kept has
-    its row computed per step by the same formula (computed_rows), bit for
-    bit the stored row. The reference farm's graphs keep every pair; at 156
-    nodes about 20 arrivals per node fit, on average. With beta None only the
-    geometry is set up (for nearest_neighbour_cost).
+    length of every node pair, and den = lam * dist (pruned pairs at
+    infinity) and turn_weight = gamma are both scaled by one power of two.
+    eta_pow_rows(h, i) gives the (m, n) eta^beta rows for hops out of i[k]
+    by an ant that arrived from h[k] (h = -1: no heading yet). An ant only
+    arrives over an edge, so the rows a step can read are those of the pairs
+    (h, i) with adj[h, i], plus (-1, home). table keeps the rows of as many
+    of these pairs as fit in _ROW_TABLE_BYTES, shortest arrival legs first,
+    then a scratch row; row_of[h, i] is the pair's row in table, or -1 (the
+    scratch row, overwritten in the step's copy). A pair not kept has its
+    row computed per step by the same formula (computed_rows), bit for bit
+    the stored row. The reference farm's graphs keep every pair; at 156
+    nodes about 20 arrivals per node fit, on average. With beta None only
+    the geometry is set up (for nearest_neighbour_cost).
     """
 
     def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None):
@@ -133,8 +152,13 @@ class _Space:
             ux = np.where(d > 0, (g.xy[None, :, 0] - g.xy[:, None, 0]) / d, 0.0)
             uy = np.where(d > 0, (g.xy[None, :, 1] - g.xy[:, None, 1]) / d, 0.0)
         self.ux, self.uy = ux, uy
-        # lambda * d with pruned pairs at infinity so their weight vanishes
-        self.den = np.where(g.adj, self.lam * d, np.inf)
+        # lambda * d and gamma, scaled by the power of two that brings the
+        # larger coefficient into [0.5, 1): exact, so no step's choice
+        # changes, and eta^beta stays finite however small lambda and gamma
+        # are; lambda * d has pruned pairs at infinity so their weight vanishes
+        shift = -math.frexp(max(self.lam, self.gamma))[1]
+        self.den = np.where(g.adj, math.ldexp(self.lam, shift) * d, np.inf)
+        self.turn_weight = math.ldexp(self.gamma, shift)
         if beta is not None:
             self.row_of, self.table = self.heading_rows(_ROW_TABLE_BYTES)
             # some arrival pair has no stored row
@@ -172,17 +196,13 @@ class _Space:
     def theta_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """(m, n) heading changes at i[k] from heading h[k]->i[k]; zero rows
         where h[k] < 0 (no history)."""
-        ux_in = self.ux[h, i][:, None]
-        uy_in = self.uy[h, i][:, None]
-        cross = np.abs(ux_in * self.uy[i] - uy_in * self.ux[i])
-        dot = ux_in * self.ux[i] + uy_in * self.uy[i]
-        out = np.degrees(np.arctan2(cross, dot))
+        out = _turns(self.ux[h, i][:, None], self.uy[h, i][:, None], self.ux[i], self.uy[i])
         out[h < 0] = 0.0
         return out
 
     def computed_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """(m, n) values of eta^beta for hops i[k] -> j given history h[k]."""
-        return _pow_eta(self.den[i] + self.gamma * self.theta_rows(h, i), self.beta)
+        return _pow_eta(self.den[i] + self.turn_weight * self.theta_rows(h, i), self.beta)
 
     def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """computed_rows(h, i), read from table where it holds the pair."""
@@ -192,6 +212,13 @@ class _Space:
             miss = rows < 0
             out[miss] = self.computed_rows(h[miss], i[miss])
         return out
+
+
+def _turns(ux_in, uy_in, ux_out, uy_out) -> np.ndarray:
+    """Heading change in degrees between unit legs in and out, by the
+    formula of path_metrics."""
+    cross = np.abs(ux_in * uy_out - uy_in * ux_out)
+    return np.degrees(np.arctan2(cross, ux_in * ux_out + uy_in * uy_out))
 
 
 def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
@@ -278,11 +305,17 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
         tot = w.sum(axis=1)
         if not tot.min() > 0.0:
             # some row has no positive total: a dead end, every option
-            # underflowed to zero, or an infinite weight (coincident nodes, a
-            # tiny lambda) turned into nan on a visited node; zero the
-            # visited nodes outright and look again
+            # underflowed to zero, or an infinite weight turned into nan on a
+            # visited or pruned node; zero the visited nodes outright and
+            # look again
             w[free == 0.0] = 0.0
             tot = w.sum(axis=1)
+            big = ~np.isfinite(tot)
+            if big.any():
+                # take the limit: the infinite options weigh 1, the others
+                # (pruned nodes' nan included) 0
+                w[big] = np.isinf(w[big])
+                tot = w.sum(axis=1)
             empty = tot <= 0.0
             if empty.any():
                 feas = space.adj[cur] & (free > 0.0)
@@ -392,6 +425,63 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
     return total / n
 
 
+def _reversal_deltas(space: _Space, edge: np.ndarray, t: np.ndarray,
+                     below: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cost change of reversing positions i..j of the closed walk t, for
+    every legal move (1 <= i < j <= len(t) - 2) whose lower bound is below
+    `below`. Returns the arrays (i, j, delta).
+
+    The move replaces legs (t[i-1], t[i]) and (t[j], t[j+1]) with
+    (t[i-1], t[j]) and (t[i], t[j+1]); it is legal when both are edges
+    (edge[a, b]). It changes the turns at t[i-1], t[i], t[j] and t[j+1]
+    only, none at home (positions 0 and len(t) - 1): a turn inside the run
+    is the same read backwards. New turns are >= 0, so
+    lam * (change in length) - gamma * (old turns) bounds the change from
+    below, and the new turns are measured only where that bound is below
+    `below`.
+    """
+    size = t.size
+    ux, uy = space.ux, space.uy
+    pre, mid, post = t[:-2], t[1:-1], t[2:]  # t[p - 1], t[p], t[p + 1] for p = 1 .. size - 2
+    turn = np.zeros(size)  # the old turn at each position
+    turn[1:-1] = _turns(ux[pre, mid], uy[pre, mid], ux[mid, post], uy[mid, post])
+    leg = space.dist[t[:-1], t[1:]]  # leg p runs from t[p] to t[p + 1]
+    # rows are i, columns j: the new legs are t[i-1] -> t[j] and t[i] -> t[j+1]
+    first, second = np.ix_(pre, mid), np.ix_(mid, post)
+    legal = np.triu(edge[first] & edge[second], 1)
+    old_turns = (turn[:-2] + turn[1:-1])[:, None] + (turn[1:-1] + turn[2:])[None, :]
+    lower = (space.lam * (space.dist[first] + space.dist[second] - leg[:-1, None] - leg[None, 1:])
+             - space.gamma * old_turns)
+    rows, cols = np.nonzero(legal & (lower < below))
+    i, j = rows + 1, cols + 1
+    a, b, c, e = t[i - 1], t[i], t[j], t[j + 1]  # the new legs are a -> c and b -> e
+    before, after = t[np.maximum(i - 2, 0)], t[np.minimum(j + 2, size - 1)]
+    new = (np.where(i >= 2, _turns(ux[before, a], uy[before, a], ux[a, c], uy[a, c]), 0.0)
+           + _turns(ux[a, c], uy[a, c], ux[c, t[j - 1]], uy[c, t[j - 1]])
+           + _turns(ux[t[i + 1], b], uy[t[i + 1], b], ux[b, e], uy[b, e])
+           + np.where(j <= size - 3, _turns(ux[b, e], uy[b, e], ux[e, after], uy[e, after]), 0.0))
+    return i, j, lower[rows, cols] + space.gamma * new
+
+
+def _two_opt(space: _Space, t: np.ndarray, cost: float) -> tuple[np.ndarray, float]:
+    """Best-improvement 2-opt of the closed walk t of exact cost `cost`:
+    take the reversal with the lowest delta (_reversal_deltas), recost it
+    exactly with _tour_costs, and keep it only if that cost is strictly
+    lower; stop at the first move that is not. Returns (walk, cost)."""
+    edge = space.adj & (space.dist > 0.0)  # a zero-length leg is never a hop
+    while True:
+        i, j, delta = _reversal_deltas(space, edge, t)
+        if delta.size == 0 or not delta.min() < 0.0:
+            return t, cost
+        k = int(np.argmin(delta))
+        moved = t.copy()
+        moved[i[k]:j[k] + 1] = t[i[k]:j[k] + 1][::-1]
+        moved_cost = float(_tour_costs(space, moved[None])[0])
+        if not moved_cost < cost:
+            return t, cost
+        t, cost = moved, moved_cost
+
+
 def _as_tour(g: RouteGraph, model: EnergyModel, nodes: tuple[int, ...],
              complete: bool) -> Tour:
     tour = tour_cost(g, model, nodes)
@@ -402,7 +492,8 @@ def _as_tour(g: RouteGraph, model: EnergyModel, nodes: tuple[int, ...],
 
 def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
           trace=None) -> SolverRun:
-    """Run the configured colony and return the best tour found.
+    """Run the configured colony, polish its best complete tour with 2-opt
+    (_two_opt) and return the result.
 
     Raises ValueError when the greedy reference cost q (see
     nearest_neighbour_cost) is not finite and positive: an energy scale that
@@ -416,6 +507,11 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     for production runs. Untraced, incomplete walks are costed only while no
     complete tour has been found: the best of them is the fallback result
     when none ever is. Tracing changes no tour or cost.
+
+    The polish runs after the last iteration and only on a complete tour;
+    a fallback walk is returned as found. When it improves the tour, the
+    last entry of best_cost_history becomes the polished cost and
+    best_iteration becomes n_iterations; the trace sees only the colony.
     """
     if g.n_waypoints == 0:
         raise ValueError("graph has no waypoints to cover")
@@ -444,7 +540,16 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     history = []
 
     for it in range(params.n_iterations):
-        tau_pow = tau if params.alpha == 1.0 else np.power(tau, params.alpha)
+        # the power of two that brings the largest trail into [0.5, 1): exact,
+        # so no choice changes, and tau^alpha can only underflow; trails that
+        # overflowed (a tiny q or rho) take the limit, 1 where infinite, else 0
+        top = float(tau.max())
+        if math.isinf(top):
+            tau_pow = np.isinf(tau).astype(float)
+        else:
+            tau_pow = np.ldexp(tau, -math.frexp(top)[1])
+        if params.alpha != 1.0:
+            np.power(tau_pow, params.alpha, out=tau_pow)
         paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, draw)
         tours = paths[closed]
         costs = _tour_costs(space, tours)
@@ -489,6 +594,10 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
             trace(it, tau.copy(), bounds, ants)
 
     if best_nodes is not None:
+        nodes, cost = _two_opt(space, np.asarray(best_nodes), best_cost)
+        if cost < best_cost:
+            best_nodes, history[-1] = tuple(nodes.tolist()), cost
+            best_iteration = params.n_iterations
         best = _as_tour(g, model, best_nodes, True)
     elif fallback_nodes is not None:
         best = _as_tour(g, model, fallback_nodes, False)

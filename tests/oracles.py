@@ -137,3 +137,23 @@ def greedy_tour_mean_cost(points, lam, gam):
         if len(order) > 1:
             total += polyline_cost([points[k] for k in order + [start]], lam, gam)
     return total / n
+
+
+def crossing_legs(points):
+    """Pairs (p, q), p < q, of legs p: points[p] -> points[p + 1] of a polyline
+    that cross at one point inside both, found by solving for the two line
+    parameters (Cramer's rule) and requiring both to lie in (0, 1).
+    Parallel legs never count."""
+    out = []
+    for p in range(len(points) - 1):
+        (ax, ay), (bx, by) = points[p], points[p + 1]
+        for q in range(p + 1, len(points) - 1):
+            (cx, cy), (dx, dy) = points[q], points[q + 1]
+            det = (bx - ax) * (cy - dy) - (by - ay) * (cx - dx)
+            if det == 0.0:
+                continue
+            s = ((cx - ax) * (cy - dy) - (cy - ay) * (cx - dx)) / det
+            t = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / det
+            if 0.0 < s < 1.0 and 0.0 < t < 1.0:
+                out.append((p, q))
+    return out

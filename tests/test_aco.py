@@ -214,14 +214,15 @@ def test_best_iteration_found_the_best_tour(variant):
 
 
 # (solver, seed) -> digest of the single-drone and dual-drone plans, each
-# drone's best tour nodes and the iteration that found it, 60 iterations.
+# drone's best tour nodes and the iteration that found it (60 when the 2-opt
+# polish did), 60 iterations.
 # Costs are left out: their last bits may differ on another numpy build or
 # platform, and other tests check them against tour_cost in one process.
 GOLDEN_TOURS = {
-    ("AS", 42): ("d7656206ee83f755", "4760ab2bce2d59f5"),
+    ("AS", 42): ("bd12d8372ba5185c", "a72145d0bcd061df"),
     ("AS", 43): ("4d73887de4ad142a", "0c517d8191ff28d3"),
-    ("MMAS", 42): ("673a90db587a80bd", "0c097a7e809f8c9a"),
-    ("MMAS", 43): ("fb751b2848585225", "1d734cb0478ec8ec"),
+    ("MMAS", 42): ("65f33eadf19c2d84", "75bddc55c323748a"),
+    ("MMAS", 43): ("3b0dd625e5312b0a", "56eeace3474b03e5"),
 }
 
 
@@ -439,6 +440,54 @@ def test_tiny_distance_coefficient_solves_without_a_warning(variant, beta):
     assert run.best_tour == tour_cost(g, model, run.best_tour.nodes)
 
 
+# AS only with alpha = 0: its first trail n_ants / q scales with the model,
+# its deposits q / cost do not
+@pytest.mark.parametrize("variant,alpha", [("MMAS", 2.0), ("AS", 0.0)])
+def test_power_of_two_energy_scales_give_the_same_tours(variant, alpha):
+    # eta and the trails are scaled by powers of two, exactly, so a model
+    # 2^-900 times smaller makes every choice the same; unscaled, eta^3
+    # would overflow to inf
+    farm = reference_farm()
+    g = build_graph(farm, generate_waypoints(farm), 0)
+    small = EnergyModel(math.ldexp(MODEL.lambda_kj_per_m, -900),
+                        math.ldexp(MODEL.gamma_kj_per_deg, -900))
+    params = AcoParams(variant=variant, n_iterations=20, alpha=alpha, seed=3)
+    run, tiny = solve(g, MODEL, params), solve(g, small, params)
+    assert tiny.best_tour.nodes == run.best_tour.nodes
+    assert tiny.best_iteration == run.best_iteration
+    assert tiny.best_tour.cost_kj == math.ldexp(run.best_tour.cost_kj, -900)
+
+
+@pytest.mark.parametrize("variant,model,rho", [
+    ("MMAS", MODEL, 1e-320),                        # 1 / (rho * cost) overflows
+    ("AS", EnergyModel(1e-320, 1e-320), None),      # n_ants / q overflows
+])
+def test_infinite_trails_weigh_like_equal_trails(variant, model, rho):
+    # every trail is inf: the limit of the scaling weighs them all 1, as
+    # alpha = 0 does, so the ants follow eta alone
+    farm = reference_farm()
+    g = build_graph(farm, generate_waypoints(farm), 0)
+    inf_trails = solve(g, model, AcoParams(variant=variant, n_iterations=5, rho=rho, seed=4))
+    blind = solve(g, model, AcoParams(variant=variant, n_iterations=5, alpha=0.0, seed=4))
+    assert inf_trails.best_tour.is_valid
+    assert inf_trails.best_tour == blind.best_tour
+
+
+def test_construct_tour_on_infinite_trails_takes_only_unvisited_neighbours():
+    # inf weights turn into nan on visited and pruned nodes; the step takes
+    # only unvisited neighbours, uniformly among the infinite weights
+    g = random_graph(25, 5, keep=0.6)
+    tau = np.full((g.n_nodes, g.n_nodes), np.inf)
+    for nodes, _ in construct_tours(g, tau, seed=2, m=20):
+        assert len(set(nodes[1:])) == len(nodes) - 1
+        assert all(g.adj[a, b] for a, b in zip(nodes, nodes[1:]))
+    g = graph_from([(30, 0), (0, 10), (-60, 0)], (0, 0))
+    counts = Counter(nodes[1] for nodes, _ in construct_tours(g, np.full((4, 4), np.inf),
+                                                               seed=7, m=10_000))
+    for leaf in (0, 1, 2):
+        assert abs(counts[leaf] / 10_000 - 1 / 3) < 0.02
+
+
 @pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (40, 2), (155, 3)])
 def test_nearest_neighbour_cost_matches_scalar_greedy_oracle(n, seed):
     g = random_graph(n, seed)
@@ -487,7 +536,9 @@ def test_traced_ant_costs_equal_tour_cost(variant):
 
     traced = solve(g, MODEL, params, trace=check)
     assert seen["complete"] and seen["incomplete"]  # both kinds exercised
-    assert traced.best_cost_history == tuple(running_best[1:])
+    # the last entry is the cost after the 2-opt polish of the colony's best
+    assert traced.best_cost_history[:-1] == tuple(running_best[1:-1])
+    assert traced.best_cost_history[-1] == traced.best_tour.cost_kj <= running_best[-1]
     plain = solve(g, MODEL, params)
     assert traced.best_cost_history == plain.best_cost_history
     assert traced.best_tour == plain.best_tour
@@ -506,3 +557,92 @@ def test_solve_with_the_station_on_a_waypoint(variant):
     run = solve(g, MODEL, AcoParams(variant=variant, n_iterations=5))
     assert run.best_tour.is_valid
     assert run.best_tour == tour_cost(g, MODEL, run.best_tour.nodes)
+
+
+def reversed_run(t, i, j):
+    return t[:i] + t[i:j + 1][::-1] + t[j + 1:]
+
+
+def edges_of(space):
+    return space.adj & (space.dist > 0.0)
+
+
+def test_reversal_deltas_match_a_recost_from_scratch():
+    # every legal reversal of random walks on seeded pruned graphs, its delta
+    # against the oracle's cost of the reversed walk from scratch
+    rng = random.Random(21)
+    lam, gam = MODEL.lambda_kj_per_m, MODEL.gamma_kj_per_deg
+    checked, ends, neighbours = 0, 0, 0
+    for seed in range(8):
+        g = random_graph(rng.randint(20, 45), 30 + seed)
+        space = aco._Space(g, MODEL)
+        order = list(range(g.n_waypoints))
+        rng.shuffle(order)
+        t = [g.home] + order + [g.home]
+        last = len(t) - 2
+        i, j, delta = aco._reversal_deltas(space, edges_of(space), np.array(t), math.inf)
+        moves = list(zip(i.tolist(), j.tolist()))
+        assert set(moves) == {(a, b) for a in range(1, last + 1) for b in range(a + 1, last + 1)
+                              if g.adj[t[a - 1], t[b]] and g.adj[t[a], t[b + 1]]}
+        old = oracles.polyline_cost(g.xy[t].tolist(), lam, gam)
+        for (a, b), d in zip(moves, delta.tolist()):
+            new = oracles.polyline_cost(g.xy[reversed_run(t, a, b)].tolist(), lam, gam)
+            assert d == pytest.approx(new - old, rel=1e-9), (seed, a, b)
+        checked += len(moves)
+        ends += (1, last) in moves
+        neighbours += sum(b == a + 1 for a, b in moves)
+        # the bound only drops moves that cannot improve, and changes no delta
+        i0, j0, d0 = aco._reversal_deltas(space, edges_of(space), np.array(t))
+        improving = {m: d for m, d in zip(moves, delta.tolist()) if d < 0.0}
+        pruned = dict(zip(zip(i0.tolist(), j0.tolist()), d0.tolist()))
+        assert improving.items() <= pruned.items()
+        assert len(pruned) < len(moves)
+    assert checked >= 1000 and ends and neighbours
+
+
+def test_polish_keeps_a_valid_tour_no_dearer_than_the_colony_best(monkeypatch):
+    improved = 0
+    for seed in (1, 2, 3):
+        g = random_graph(30, 40 + seed)
+        for variant in ("AS", "MMAS"):
+            params = AcoParams(variant=variant, n_ants=10, n_iterations=20, seed=seed)
+            run = solve(g, MODEL, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(aco, "_two_opt", lambda space, t, cost: (t, cost))
+                raw = solve(g, MODEL, params)
+            tour = run.best_tour
+            assert tour.is_valid and all(g.adj[a, b] for a, b in zip(tour.nodes, tour.nodes[1:]))
+            assert tour == tour_cost(g, MODEL, tour.nodes)
+            assert run.best_cost_history[:-1] == raw.best_cost_history[:-1]
+            assert run.best_cost_history[-1] == tour.cost_kj <= raw.best_tour.cost_kj
+            if tour.cost_kj < raw.best_tour.cost_kj:
+                assert run.best_iteration == params.n_iterations
+                improved += 1
+            else:
+                assert run == raw
+            # a polished tour is a fixed point of the polish
+            again, cost = aco._two_opt(aco._Space(g, MODEL), np.array(tour.nodes), tour.cost_kj)
+            assert tuple(again.tolist()) == tour.nodes and cost == tour.cost_kj
+    assert improved
+
+
+def test_polish_uncrosses_a_crossing_tour():
+    # a 4 x 4 grid flown as a serpentine from the corner station; each
+    # single reversal of the serpentine that makes two legs cross
+    grid = [(x, y) for y in (0, 10, 20, 30) for x in (0, 10, 20, 30)]
+    g = graph_from(grid, (-10, -10))
+    space = aco._Space(g, MODEL)
+    serpentine = [16, 0, 1, 2, 3, 7, 6, 5, 4, 8, 9, 10, 11, 15, 14, 13, 12, 16]
+    crossing = 0
+    for i in range(1, 17):
+        for j in range(i + 1, 17):
+            t = reversed_run(serpentine, i, j)
+            if not oracles.crossing_legs(g.xy[t].tolist()):
+                continue
+            crossing += 1
+            cost = tour_cost(g, MODEL, t).cost_kj
+            out, out_cost = aco._two_opt(space, np.array(t), cost)
+            assert out_cost < cost
+            assert oracles.crossing_legs(g.xy[out].tolist()) == []
+            assert tour_cost(g, MODEL, out.tolist()).cost_kj == out_cost
+    assert crossing > 50

@@ -120,6 +120,22 @@ def test_overflowing_map_coordinates_are_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "1e-200", "--gamma", "0", "--alpha", "2", "--iterations", "3"],
+    ["--lambda", "1e-300", "--gamma", "1e-300", "--iterations", "3"],
+    ["--solver", "as", "--drones", "2", "--iterations", "2", "--alpha", "1e308"],
+    ["--solver", "mmas", "--drones", "2", "--iterations", "2", "--rho", "1e-320"],
+    ["--lambda", "1e-320", "--gamma", "1e-320", "--iterations", "2"],
+])
+def test_extreme_colony_weights_plan_a_valid_tour(tmp_path, capsys, flags):
+    # tiny coefficients or rho overflow eta or the trails, a huge alpha
+    # overflows tau^alpha
+    out = tmp_path / "tour.json"
+    assert main(["plan", REFERENCE_MAP, "--out", str(out), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["valid"] is True
+
+
 def test_plan_with_the_station_on_a_waypoint(tmp_path, capsys):
     p = write_map(tmp_path / "farm.json", stations=[[20, 20]], clearance_m=0.0)
     out = tmp_path / "tour.json"

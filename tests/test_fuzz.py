@@ -2,7 +2,8 @@
 a FarmMap or raises MapSchemaError, and plan_fleet returns a plan whose
 exported paths reproduce each drone's cost, or raises DisconnectedGraphError
 or PlanningError. On any numeric flag value, `farmpatrol plan` exits with a
-documented code and writes at most one line to stderr."""
+documented code and writes at most one line to stderr, and so do `bench`
+and `render` on a few values per flag."""
 
 import random
 from importlib import resources
@@ -106,16 +107,27 @@ FLAGS = {
 }
 
 
+SETTINGS = [("as", "1"), ("as", "2"), ("mmas", "2")]  # (solver, drones)
+
+
 def plan_cases(rng: random.Random):
-    """Every value of every flag alone, in turn under AS with one drone and
-    MMAS with two, then seeded mixes of two or three flags under any solver."""
-    alone = [(flag, value) for flag, values in FLAGS.items() for value in values]
-    for k, (flag, value) in enumerate(alone):
-        yield ("as", "1") if k % 2 == 0 else ("mmas", "2"), [(flag, value)]
+    """Every value of every flag alone under each of SETTINGS, then seeded
+    mixes of two or three flags under any solver."""
+    for flag, values in FLAGS.items():
+        for value in values:
+            for setting in SETTINGS:
+                yield setting, [(flag, value)]
     for _ in range(30):
         chosen = rng.sample(sorted(FLAGS), rng.randint(2, 3))
         yield ((rng.choice(["as", "mmas", "back-and-forth"]), rng.choice(["1", "2"])),
                [(flag, rng.choice(FLAGS[flag])) for flag in chosen])
+
+
+def assert_documented_exit(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3, 4), argv
+    assert err.count("\n") == (code != 0), (argv, err)
 
 
 def test_numeric_flag_values_exit_documented(tmp_path, capsys):
@@ -124,7 +136,18 @@ def test_numeric_flag_values_exit_documented(tmp_path, capsys):
         argv = ["plan", REFERENCE_MAP, "--iterations", "2", "--out", out,
                 "--solver", solver, "--drones", drones]
         argv += [f"{flag}={value}" for flag, value in flags]  # "-inf" is not an option
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2, 3, 4), argv
-        assert err.count("\n") == (code != 0), (argv, err)
+        assert_documented_exit(argv, capsys)
+
+
+def test_numeric_flag_values_exit_documented_in_bench_and_render(tmp_path, capsys):
+    # three seeded values per flag; bench runs AS and MMAS on one and two drones
+    rng = random.Random(6)
+    for flag, values in FLAGS.items():
+        for value in rng.sample(values, 3):
+            bench_flag = "--base-seed" if flag == "--seed" else flag
+            assert_documented_exit(
+                ["bench", REFERENCE_MAP, "--trials", "1", "--iterations", "2",
+                 "--out-dir", str(tmp_path / "bench"), f"{bench_flag}={value}"], capsys)
+            assert_documented_exit(
+                ["render", REFERENCE_MAP, "--solver", "as", "--iterations", "2",
+                 "--out", str(tmp_path / "map.svg"), f"{flag}={value}"], capsys)
