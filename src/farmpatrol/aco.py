@@ -3,8 +3,8 @@
 Two variants share one construction engine:
 
 * "AS" (ant system): every ant that completes a valid tour deposits
-  q / cost on the edges it used, with q the mean cost of the greedy
-  nearest-neighbour tours (nearest_neighbour_cost).
+  q / cost on the edges it used, with q the cost of the greedy
+  nearest-neighbour tour from home (nearest_neighbour_cost).
 * "MMAS" (max-min ant system): only the best tour found so far deposits
   (1 / best cost), and trails are clamped into [tau_min, tau_max] with
   tau_max = 1 / (rho * best_cost) and tau_min = tau_max / (2 * n_nodes).
@@ -75,7 +75,7 @@ _DRAW_BLOCK = 4096
 @dataclass(frozen=True, slots=True)
 class AcoParams:
     """Colony settings. The AS deposit scale q is not one of them: solve
-    takes it from nearest_neighbour_cost, the mean greedy tour cost."""
+    takes it from nearest_neighbour_cost, the greedy tour's cost."""
 
     variant: str = "AS"
     n_ants: int | None = None          # default: one per waypoint, capped at 50
@@ -133,8 +133,8 @@ class _Space:
     scratch row, overwritten in the step's copy). A pair not kept has its
     row computed per step by the same formula (computed_rows), bit for bit
     the stored row. The reference farm's graphs keep every pair; at 156
-    nodes about 20 arrivals per node fit, on average. With beta None only
-    the geometry is set up (for nearest_neighbour_cost).
+    nodes about 20 arrivals per node fit, on average. With beta None no
+    table is built (nearest_neighbour_cost reads none).
     """
 
     def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None):
@@ -379,50 +379,29 @@ def _walk_cost(space: _Space, nodes: np.ndarray) -> float:
 
 def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
                            space: _Space | None = None) -> float:
-    """Mean cost of greedy closed tours, one per start node.
+    """Cost of the greedy closed tour from home, 0.0 when it makes no hop.
 
-    Greedy by the turn-aware hop cost; pruned edges fall back to the straight
-    line, since the figure is only used as a magnitude reference for deposits
-    and initial trail levels. All starts walk in lockstep. space, when given,
-    is the caller's precomputed _Space for the same graph and model.
-    """
+    Each hop goes to the unvisited node of lowest turn-aware hop cost, ties
+    to the lower index, along the straight line even where the edge is
+    pruned: like the nearest-neighbour tour of MMAS and ACS, the figure only
+    sets the scale of deposits and first trails. space, when given, is the
+    caller's _Space for the same graph and model."""
     if space is None:
         space = _Space(g, model)
-    n = g.n_nodes
-    starts = np.arange(n)
-    walks = np.empty((n, n + 1), dtype=np.int64)
-    walks[:, 0] = starts
-    lengths = np.ones(n, dtype=np.int64)  # nodes walked so far, per start
-    dist = space.dist
-    seen = dist == 0.0  # never step onto a node that coincides with the start
-    cur, prev = starts.copy(), np.full(n, -1)
-    rows = starts  # starts still walking
-    for step in range(1, n):
-        c = cur[rows]
-        hop = space.lam * dist[c] + space.gamma * space.theta_rows(prev[rows], c)
-        hop[seen[rows]] = np.inf
-        hop[dist[c] == 0.0] = np.inf  # coincident nodes are not hops
-        nxt = np.argmin(hop, axis=1)
-        moved = np.isfinite(hop[np.arange(rows.size), nxt])
-        rows, nxt = rows[moved], nxt[moved]
-        if rows.size == 0:
+    home, dist = g.home, space.dist
+    seen = dist[home] == 0.0  # never step onto a node that coincides with home
+    walk, turn = [home], np.zeros(g.n_nodes)  # no heading change on the first hop
+    while True:
+        cur = walk[-1]
+        hop = space.lam * dist[cur] + space.gamma * turn
+        hop[seen | (dist[cur] == 0.0)] = np.inf  # coincident nodes are not hops
+        nxt = int(np.argmin(hop))
+        if not np.isfinite(hop[nxt]):
             break
-        seen[rows, nxt] = True
-        walks[rows, step] = nxt
-        lengths[rows] += 1
-        prev[rows] = cur[rows]
-        cur[rows] = nxt
-    walks[starts, lengths] = starts  # close every walk at its start
-
-    costs = np.zeros(n)
-    full = lengths == n
-    costs[full] = _tour_costs(space, walks[full])
-    for k in np.nonzero(~full & (lengths > 1))[0]:
-        costs[k] = _walk_cost(space, walks[k, :lengths[k] + 1])
-    total = 0.0
-    for cost in costs.tolist():  # a running sum in start order
-        total += cost
-    return total / n
+        seen[nxt] = True
+        turn = _turns(space.ux[cur, nxt], space.uy[cur, nxt], space.ux[nxt], space.uy[nxt])
+        walk.append(nxt)
+    return _walk_cost(space, np.array(walk + [home])) if len(walk) > 1 else 0.0
 
 
 def _reversal_deltas(space: _Space, edge: np.ndarray, t: np.ndarray,
@@ -495,9 +474,9 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     """Run the configured colony, polish its best complete tour with 2-opt
     (_two_opt) and return the result.
 
-    Raises ValueError when the greedy reference cost q (see
-    nearest_neighbour_cost) is not finite and positive: an energy scale that
-    overflows on this map.
+    Raises ValueError, an energy scale that overflows on this map, when the
+    greedy reference cost q (see nearest_neighbour_cost) is not finite and
+    positive, or when some walk's cost could overflow, whatever walk q took.
 
     trace, when given, is called after every iteration as
     trace(iteration, tau_copy, bounds, ants) with bounds = (tau_min, tau_max)
@@ -517,12 +496,17 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         raise ValueError("graph has no waypoints to cover")
     n = g.n_nodes
     n_ants, rho = _resolve(g, params)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in q
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in q or d
         space = _Space(g, model, params.beta)
         q = nearest_neighbour_cost(g, model, space)
-    if not (math.isfinite(q) and q > 0.0):
+    # a walk has at most n legs of at most d and n turns of 180 deg, and no
+    # cross or dot product of legs over 2 d^2: if that is finite, none overflows
+    d = float(space.dist.max())
+    top = n * (space.lam * d + space.gamma * 180.0)
+    if not (math.isfinite(q) and q > 0.0 and math.isfinite(top + 2.0 * d * d)):
         raise ValueError(f"energy scale out of range for this map: the greedy reference "
-                         f"tour costs {q!r} kJ (lambda_kj_per_m {model.lambda_kj_per_m!r}, "
+                         f"tour costs {q!r} kJ, and a tour of legs up to {d!r} m could cost up "
+                         f"to {top!r} kJ (lambda_kj_per_m {model.lambda_kj_per_m!r}, "
                          f"gamma_kj_per_deg {model.gamma_kj_per_deg!r})")
     draw = _Uniforms(random.Random(params.seed)).take
 

@@ -92,51 +92,48 @@ def best_closed_tour(coords, home_xy, lam, gam):
     return best
 
 
-def greedy_tour_mean_cost(points, lam, gam):
-    """Mean cost of the greedy closed tours from every start, walked one at a
-    time with scalar arithmetic.
+def greedy_tour_cost(points, lam, gam):
+    """Cost of the greedy closed tour from the last point (home), walked with
+    scalar arithmetic.
 
-    From the start, each hop goes to the unvisited point with the lowest
+    From home, each hop goes to the unvisited point with the lowest
     lam * length + gam * heading change at the current point (no heading
     change on the first hop), ties to the lower index; points at zero
     distance from the current one are never hops, and points at zero
-    distance from the start are never visited, so the walk cannot close on
-    a zero-length leg. The walk ends when no point is left and returns to
-    its start. Edges are not consulted: every pair counts as a straight leg.
-    A start with no hop at all adds nothing to the sum, but still counts in
-    the mean.
+    distance from home are never visited, so the walk cannot close on a
+    zero-length leg. The walk ends when no point is left and returns home.
+    Edges are not consulted: every pair counts as a straight leg. A walk
+    with no hop at all costs 0.
     """
-    n = len(points)
-    total = 0.0
-    for start in range(n):
-        order = [start]
-        seen = {j for j in range(n) if points[j] == points[start]}
-        while len(order) < n:
-            x0, y0 = points[order[-1]]
-            best = None
-            for j in range(n):
-                if j in seen:
-                    continue
-                x1, y1 = points[j]
-                leg = math.hypot(x1 - x0, y1 - y0)
-                if leg == 0.0:
-                    continue
-                turn = 0.0
-                if len(order) > 1:
-                    px, py = points[order[-2]]
-                    ux, uy = x0 - px, y0 - py
-                    vx, vy = x1 - x0, y1 - y0
-                    turn = math.degrees(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
-                cost = lam * leg + gam * turn
-                if best is None or cost < best[0]:
-                    best = (cost, j)
-            if best is None:
-                break
-            order.append(best[1])
-            seen.add(best[1])
-        if len(order) > 1:
-            total += polyline_cost([points[k] for k in order + [start]], lam, gam)
-    return total / n
+    home = len(points) - 1
+    order = [home]
+    seen = {j for j in range(len(points)) if points[j] == points[home]}
+    while True:
+        x0, y0 = points[order[-1]]
+        best = None
+        for j in range(len(points)):
+            if j in seen:
+                continue
+            x1, y1 = points[j]
+            leg = math.hypot(x1 - x0, y1 - y0)
+            if leg == 0.0:
+                continue
+            turn = 0.0
+            if len(order) > 1:
+                px, py = points[order[-2]]
+                ux, uy = x0 - px, y0 - py
+                vx, vy = x1 - x0, y1 - y0
+                turn = math.degrees(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
+            cost = lam * leg + gam * turn
+            if best is None or cost < best[0]:
+                best = (cost, j)
+        if best is None:
+            break
+        order.append(best[1])
+        seen.add(best[1])
+    if len(order) == 1:
+        return 0.0
+    return polyline_cost([points[k] for k in order + [home]], lam, gam)
 
 
 def crossing_legs(points):

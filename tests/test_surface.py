@@ -6,6 +6,7 @@ when the benchmark runs; these tests make both show in the unit tests.
 """
 
 import dataclasses
+import inspect
 
 import farmpatrol
 from farmpatrol import aco, baseline, fleet, routegraph
@@ -31,6 +32,9 @@ def test_names_the_benchmark_relies_on():
     for module, names in wrapped.items():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    # solve passes its space by position, and perfbench wraps the function
+    params = inspect.signature(aco.nearest_neighbour_cost).parameters
+    assert list(params) == ["g", "model", "space"]
 
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
