@@ -28,14 +28,19 @@ solve's one _Space. Incomplete walks are costed only while no
 complete tour has been found (the best of them is returned when none ever
 is) or when solve is traced.
 
-solve ends every run that found a complete tour with a best-improvement,
-turn-aware 2-opt of that tour (_two_opt; Croes 1958). A move reverses
-positions i..j: it swaps two legs for two new ones, which must be graph
-edges, and changes at most four turns, none at home. One numpy pass scores
-every legal move from the solve's _Space (_reversal_deltas), measuring new
-turns only where a lower bound can still improve. The best move is recosted
-exactly and kept only if that cost is strictly lower, so the pass ends. The
-colony itself never sees the polished tour.
+solve polishes complete tours with a best-improvement, turn-aware 2-opt
+(_two_opt; Croes 1958): an iteration's cheapest closed tour whenever it
+beats the best polished tour so far (local search on improvements, as in
+MMAS+LS, Stützle & Hoos 2000), and after the last iteration the colony's
+own best if it never was. A move reverses positions i..j: it swaps two legs
+for two new ones, which must be graph edges, and changes at most four
+turns, none at home. One numpy pass scores every legal move from the
+solve's _Space (_reversal_deltas), measuring new turns only where a lower
+bound can still improve. The best move is recosted exactly and kept only if
+that cost is strictly lower, so the pass ends. The colony itself never sees
+a polished tour: it keeps its own best for the MMAS deposit and trail
+bounds, so the polish changes no walk, trail or trace payload, only the
+result, which costs at most the polish of the colony's final best.
 
 The weights of a step are scaled by powers of two, which is exact and so
 changes no choice: eta by the one that brings the larger energy coefficient
@@ -102,13 +107,16 @@ class AcoParams:
 
 @dataclass(frozen=True, slots=True)
 class SolverRun:
-    """Outcome of one solve: the best tour, the per-iteration best-valid cost
-    trace (inf before the first valid tour appears) and bookkeeping.
+    """Outcome of one solve: the best tour, the per-iteration cost of the
+    best polished tour so far (inf before the first valid tour appears; at
+    most the colony's own best) and bookkeeping.
 
-    best_iteration is the 1-based iteration that found best_tour, or 0 when
-    no ant completed a tour (best_tour is then the best incomplete walk).
-    It equals the number of iterations when the closing 2-opt polish found
-    best_tour; the last history entry is then the polished cost.
+    best_iteration is the 1-based iteration whose cheapest tour, polished,
+    is best_tour, or 0 when no ant completed a tour (best_tour is then the
+    best incomplete walk). It equals the number of iterations when the
+    closing polish of the colony's own final best found best_tour; the last
+    history entry is then that cost. Either way
+    best_cost_history[best_iteration - 1] is best_tour's cost.
     Whether the run found a coverage tour is best_tour.is_valid.
     """
 
@@ -148,6 +156,7 @@ class _Space:
         self.lam = model.lambda_kj_per_m
         self.gamma = model.gamma_kj_per_deg
         self.dist = d = pair_distances(g.xy)
+        self.edge = g.adj & (d > 0.0)  # the legs a 2-opt move may fly: never zero-length
         with np.errstate(invalid="ignore", divide="ignore"):
             ux = np.where(d > 0, (g.xy[None, :, 0] - g.xy[:, None, 0]) / d, 0.0)
             uy = np.where(d > 0, (g.xy[None, :, 1] - g.xy[:, None, 1]) / d, 0.0)
@@ -404,7 +413,7 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
     return _walk_cost(space, np.array(walk + [home])) if len(walk) > 1 else 0.0
 
 
-def _reversal_deltas(space: _Space, edge: np.ndarray, t: np.ndarray,
+def _reversal_deltas(space: _Space, t: np.ndarray,
                      below: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cost change of reversing positions i..j of the closed walk t, for
     every legal move (1 <= i < j <= len(t) - 2) whose lower bound is below
@@ -412,7 +421,7 @@ def _reversal_deltas(space: _Space, edge: np.ndarray, t: np.ndarray,
 
     The move replaces legs (t[i-1], t[i]) and (t[j], t[j+1]) with
     (t[i-1], t[j]) and (t[i], t[j+1]); it is legal when both are edges
-    (edge[a, b]). It changes the turns at t[i-1], t[i], t[j] and t[j+1]
+    (space.edge[a, b]). It changes the turns at t[i-1], t[i], t[j] and t[j+1]
     only, none at home (positions 0 and len(t) - 1): a turn inside the run
     is the same read backwards. New turns are >= 0, so
     lam * (change in length) - gamma * (old turns) bounds the change from
@@ -425,11 +434,13 @@ def _reversal_deltas(space: _Space, edge: np.ndarray, t: np.ndarray,
     turn = np.zeros(size)  # the old turn at each position
     turn[1:-1] = _turns(ux[pre, mid], uy[pre, mid], ux[mid, post], uy[mid, post])
     leg = space.dist[t[:-1], t[1:]]  # leg p runs from t[p] to t[p + 1]
-    # rows are i, columns j: the new legs are t[i-1] -> t[j] and t[i] -> t[j+1]
-    first, second = np.ix_(pre, mid), np.ix_(mid, post)
-    legal = np.triu(edge[first] & edge[second], 1)
+    # rows are i, columns j: the new legs are t[i-1] -> t[j] and t[i] -> t[j+1],
+    # blocks of one gather over the walk's node pairs
+    pairs = np.ix_(t, t)
+    edge, dist = space.edge[pairs], space.dist[pairs]
+    legal = np.triu(edge[:-2, 1:-1] & edge[1:-1, 2:], 1)
     old_turns = (turn[:-2] + turn[1:-1])[:, None] + (turn[1:-1] + turn[2:])[None, :]
-    lower = (space.lam * (space.dist[first] + space.dist[second] - leg[:-1, None] - leg[None, 1:])
+    lower = (space.lam * (dist[:-2, 1:-1] + dist[1:-1, 2:] - leg[:-1, None] - leg[None, 1:])
              - space.gamma * old_turns)
     rows, cols = np.nonzero(legal & (lower < below))
     i, j = rows + 1, cols + 1
@@ -447,9 +458,8 @@ def _two_opt(space: _Space, t: np.ndarray, cost: float) -> tuple[np.ndarray, flo
     take the reversal with the lowest delta (_reversal_deltas), recost it
     exactly with _tour_costs, and keep it only if that cost is strictly
     lower; stop at the first move that is not. Returns (walk, cost)."""
-    edge = space.adj & (space.dist > 0.0)  # a zero-length leg is never a hop
     while True:
-        i, j, delta = _reversal_deltas(space, edge, t)
+        i, j, delta = _reversal_deltas(space, t)
         if delta.size == 0 or not delta.min() < 0.0:
             return t, cost
         k = int(np.argmin(delta))
@@ -471,8 +481,8 @@ def _as_tour(g: RouteGraph, model: EnergyModel, nodes: tuple[int, ...],
 
 def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
           trace=None) -> SolverRun:
-    """Run the configured colony, polish its best complete tour with 2-opt
-    (_two_opt) and return the result.
+    """Run the configured colony, polishing its complete tours with 2-opt
+    (_two_opt) as they improve on the result, and return the best.
 
     Raises ValueError, an energy scale that overflows on this map, when the
     greedy reference cost q (see nearest_neighbour_cost) is not finite and
@@ -487,10 +497,13 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     complete tour has been found: the best of them is the fallback result
     when none ever is. Tracing changes no tour or cost.
 
-    The polish runs after the last iteration and only on a complete tour;
-    a fallback walk is returned as found. When it improves the tour, the
-    last entry of best_cost_history becomes the polished cost and
-    best_iteration becomes n_iterations; the trace sees only the colony.
+    The polish runs on an iteration's cheapest closed tour when that beats
+    every polished tour so far, and after the last iteration on the
+    colony's own best if that was never polished; a fallback walk is
+    returned as found. When the closing polish improves the result, the
+    last entry of best_cost_history becomes its cost and best_iteration
+    becomes n_iterations. The colony and the trace see only the colony's
+    own tours.
     """
     if g.n_waypoints == 0:
         raise ValueError("graph has no waypoints to cover")
@@ -516,9 +529,12 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         tau_max = 1.0 / (rho * q)  # best cost unknown yet: seed with the greedy scale
         tau = np.full((n, n), tau_max)
 
-    best_nodes: tuple[int, ...] | None = None
+    best_nodes: tuple[int, ...] | None = None  # the colony's own best, unpolished
     best_cost = math.inf
-    best_iteration = 0
+    polished = False  # whether best_nodes went through _two_opt
+    out_nodes: tuple[int, ...] | None = None  # the best polished tour: the result
+    out_cost = math.inf
+    best_iteration = 0  # the iteration that found out_nodes
     fallback_nodes: tuple[int, ...] | None = None  # best incomplete walk
     fallback_cost = math.inf
     history = []
@@ -541,7 +557,12 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
             k = int(np.argmin(costs))  # first of equals, as a scan in ant order
             if costs[k] < best_cost:
                 best_nodes, best_cost = tuple(tours[k].tolist()), float(costs[k])
-                best_iteration = it + 1
+                # out_cost <= best_cost always, so only a new colony best can
+                # beat the result, and then its polish is the new result
+                polished = best_cost < out_cost
+                if polished:
+                    nodes, out_cost = _two_opt(space, tours[k], best_cost)
+                    out_nodes, best_iteration = tuple(nodes.tolist()), it + 1
         walk_costs = {}
         if trace is not None or best_nodes is None:
             for k in np.nonzero(~closed)[0].tolist():
@@ -549,7 +570,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
                 walk_costs[k] = cost = _walk_cost(space, walk)
                 if cost < fallback_cost:
                     fallback_nodes, fallback_cost = tuple(walk.tolist()), cost
-        history.append(best_cost)
+        history.append(out_cost)
 
         tau *= (1.0 - rho)
         if params.variant == "AS":
@@ -578,11 +599,12 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
             trace(it, tau.copy(), bounds, ants)
 
     if best_nodes is not None:
-        nodes, cost = _two_opt(space, np.asarray(best_nodes), best_cost)
-        if cost < best_cost:
-            best_nodes, history[-1] = tuple(nodes.tolist()), cost
-            best_iteration = params.n_iterations
-        best = _as_tour(g, model, best_nodes, True)
+        if not polished:
+            nodes, cost = _two_opt(space, np.asarray(best_nodes), best_cost)
+            if cost < out_cost:
+                out_nodes, history[-1] = tuple(nodes.tolist()), cost
+                best_iteration = params.n_iterations
+        best = _as_tour(g, model, out_nodes, True)
     elif fallback_nodes is not None:
         best = _as_tour(g, model, fallback_nodes, False)
     else:

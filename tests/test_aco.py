@@ -160,16 +160,26 @@ def test_solve_on_star_reports_invalid():
     assert run.best_iteration == 0
 
 
+def traced_solve(g, params):
+    """solve with a trace; returns the run and every trace call's payload,
+    trails as bytes so payloads compare with ==."""
+    payloads = []
+    run = solve(g, MODEL, params, trace=lambda it, tau, bounds, ants: payloads.append(
+        (it, tau.tobytes(), bounds, ants)))
+    return run, payloads
+
+
 def test_solve_deterministic_per_seed():
+    # on this 9-waypoint map seeds 11 and 12 polish to the same optimum at
+    # iteration 1, so seed sensitivity shows in the ants' walks
     m, w = open_map()
     g = build_graph(m, w, 0)
     p = AcoParams(n_ants=8, n_iterations=40, seed=11)
-    r1 = solve(g, MODEL, p)
-    r2 = solve(g, MODEL, p)
-    assert r1.best_tour == r2.best_tour
-    assert r1.best_cost_history == r2.best_cost_history
-    r3 = solve(g, MODEL, AcoParams(n_ants=8, n_iterations=40, seed=12))
-    assert r3.best_cost_history != r1.best_cost_history
+    r1, t1 = traced_solve(g, p)
+    r2, t2 = traced_solve(g, p)
+    assert r1 == r2 and t1 == t2
+    _, t3 = traced_solve(g, AcoParams(n_ants=8, n_iterations=40, seed=12))
+    assert [ants for *_, ants in t3] != [ants for *_, ants in t1]
 
 
 def test_distinct_seeds_explore_distinct_tours_without_trails():
@@ -214,14 +224,14 @@ def test_best_iteration_found_the_best_tour(variant):
 
 
 # (solver, seed) -> digest of the single-drone and dual-drone plans, each
-# drone's best tour nodes and the iteration that found it (60 when the 2-opt
-# polish did), 60 iterations.
+# drone's best tour nodes and the iteration that found it (60 when the
+# closing 2-opt polish did), 60 iterations.
 # Costs are left out: their last bits may differ on another numpy build or
 # platform, and other tests check them against tour_cost in one process.
 GOLDEN_TOURS = {
-    ("AS", 42): ("1c095a91249c7268", "9511f07ab0c2f135"),
-    ("AS", 43): ("e72372694464e67b", "05934167037bbd0c"),
-    ("MMAS", 42): ("65f33eadf19c2d84", "75bddc55c323748a"),
+    ("AS", 42): ("8cc55e0890d38e49", "5b59fb81df9efbb7"),
+    ("AS", 43): ("e72372694464e67b", "a5f06d951b5a020c"),
+    ("MMAS", 42): ("65f33eadf19c2d84", "a3d45b8a9626855a"),
     ("MMAS", 43): ("3b0dd625e5312b0a", "56eeace3474b03e5"),
 }
 
@@ -525,8 +535,28 @@ def test_solve_reuses_its_space_for_the_greedy_reference(monkeypatch):
     assert nearest_neighbour_cost(g, MODEL, space) == want
 
 
+def check_polish_contract(g, params, monkeypatch):
+    """Solve with the 2-opt polish and with _two_opt patched to identity, and
+    check what the polish may change: only the result, never the colony.
+    Returns (run, raw)."""
+    run, payloads = traced_solve(g, params)
+    with monkeypatch.context() as patch:
+        patch.setattr(aco, "_two_opt", lambda space, t, cost: (t, cost))
+        raw, raw_payloads = traced_solve(g, params)
+    assert payloads == raw_payloads  # the polish never feeds the colony
+    # raw's history is the colony's running best; the polish only lowers it
+    h = run.best_cost_history
+    assert all(a <= b for a, b in zip(h, raw.best_cost_history))
+    assert h[run.best_iteration - 1] == h[-1] == run.best_tour.cost_kj
+    # no dearer than a polish of the colony's final best alone
+    _, final_only = aco._two_opt(aco._Space(g, MODEL), np.array(raw.best_tour.nodes),
+                                 raw.best_tour.cost_kj)
+    assert run.best_tour.cost_kj <= final_only
+    return run, raw
+
+
 @pytest.mark.parametrize("variant", ["AS", "MMAS"])
-def test_traced_ant_costs_equal_tour_cost(variant):
+def test_traced_ant_costs_equal_tour_cost(variant, monkeypatch):
     g = random_graph(25, 5, keep=0.4)
     params = AcoParams(variant=variant, n_ants=12, n_iterations=30, seed=8)
     seen = {"complete": 0, "incomplete": 0}
@@ -548,12 +578,9 @@ def test_traced_ant_costs_equal_tour_cost(variant):
 
     traced = solve(g, MODEL, params, trace=check)
     assert seen["complete"] and seen["incomplete"]  # both kinds exercised
-    # the last entry is the cost after the 2-opt polish of the colony's best
-    assert traced.best_cost_history[:-1] == tuple(running_best[1:-1])
-    assert traced.best_cost_history[-1] == traced.best_tour.cost_kj <= running_best[-1]
-    plain = solve(g, MODEL, params)
-    assert traced.best_cost_history == plain.best_cost_history
-    assert traced.best_tour == plain.best_tour
+    plain, raw = check_polish_contract(g, params, monkeypatch)
+    assert raw.best_cost_history == tuple(running_best[1:])  # the colony's running best
+    assert traced == plain
 
 
 @pytest.mark.parametrize("variant", ["AS", "MMAS"])
@@ -575,10 +602,6 @@ def reversed_run(t, i, j):
     return t[:i] + t[i:j + 1][::-1] + t[j + 1:]
 
 
-def edges_of(space):
-    return space.adj & (space.dist > 0.0)
-
-
 def test_reversal_deltas_match_a_recost_from_scratch():
     # every legal reversal of random walks on seeded pruned graphs, its delta
     # against the oracle's cost of the reversed walk from scratch
@@ -592,7 +615,7 @@ def test_reversal_deltas_match_a_recost_from_scratch():
         rng.shuffle(order)
         t = [g.home] + order + [g.home]
         last = len(t) - 2
-        i, j, delta = aco._reversal_deltas(space, edges_of(space), np.array(t), math.inf)
+        i, j, delta = aco._reversal_deltas(space, np.array(t), math.inf)
         moves = list(zip(i.tolist(), j.tolist()))
         assert set(moves) == {(a, b) for a in range(1, last + 1) for b in range(a + 1, last + 1)
                               if g.adj[t[a - 1], t[b]] and g.adj[t[a], t[b + 1]]}
@@ -604,7 +627,7 @@ def test_reversal_deltas_match_a_recost_from_scratch():
         ends += (1, last) in moves
         neighbours += sum(b == a + 1 for a, b in moves)
         # the bound only drops moves that cannot improve, and changes no delta
-        i0, j0, d0 = aco._reversal_deltas(space, edges_of(space), np.array(t))
+        i0, j0, d0 = aco._reversal_deltas(space, np.array(t))
         improving = {m: d for m, d in zip(moves, delta.tolist()) if d < 0.0}
         pruned = dict(zip(zip(i0.tolist(), j0.tolist()), d0.tolist()))
         assert improving.items() <= pruned.items()
@@ -618,24 +641,31 @@ def test_polish_keeps_a_valid_tour_no_dearer_than_the_colony_best(monkeypatch):
         g = random_graph(30, 40 + seed)
         for variant in ("AS", "MMAS"):
             params = AcoParams(variant=variant, n_ants=10, n_iterations=20, seed=seed)
-            run = solve(g, MODEL, params)
-            with monkeypatch.context() as patch:
-                patch.setattr(aco, "_two_opt", lambda space, t, cost: (t, cost))
-                raw = solve(g, MODEL, params)
+            run, raw = check_polish_contract(g, params, monkeypatch)
             tour = run.best_tour
             assert tour.is_valid and all(g.adj[a, b] for a, b in zip(tour.nodes, tour.nodes[1:]))
             assert tour == tour_cost(g, MODEL, tour.nodes)
-            assert run.best_cost_history[:-1] == raw.best_cost_history[:-1]
-            assert run.best_cost_history[-1] == tour.cost_kj <= raw.best_tour.cost_kj
-            if tour.cost_kj < raw.best_tour.cost_kj:
-                assert run.best_iteration == params.n_iterations
-                improved += 1
-            else:
-                assert run == raw
+            improved += tour.cost_kj < raw.best_tour.cost_kj
             # a polished tour is a fixed point of the polish
             again, cost = aco._two_opt(aco._Space(g, MODEL), np.array(tour.nodes), tour.cost_kj)
             assert tuple(again.tolist()) == tour.nodes and cost == tour.cost_kj
     assert improved
+
+
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+def test_first_complete_iteration_is_polished_on_the_reference_farm(variant):
+    # the first complete iteration's history entry is already a 2-opt fixed
+    # point: a run cut off there returns that tour, and polishing it again
+    # changes nothing
+    farm = reference_farm()
+    g = build_graph(farm, generate_waypoints(farm), 0)
+    h = solve(g, MODEL, AcoParams(variant=variant, n_iterations=30, seed=42)).best_cost_history
+    k = 1 + sum(math.isinf(c) for c in h)
+    cut = solve(g, MODEL, AcoParams(variant=variant, n_iterations=k, seed=42))
+    assert cut.best_cost_history == h[:k] and cut.best_iteration == k
+    tour = cut.best_tour
+    again, cost = aco._two_opt(aco._Space(g, MODEL), np.array(tour.nodes), tour.cost_kj)
+    assert tuple(again.tolist()) == tour.nodes and cost == tour.cost_kj == h[k - 1]
 
 
 def test_polish_uncrosses_a_crossing_tour():
