@@ -91,6 +91,8 @@ class AcoParams:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {type(self.seed).__name__}")
         if self.variant not in ("AS", "MMAS"):
             raise ValueError(f"unknown variant {self.variant!r}, expected 'AS' or 'MMAS'")
         if self.n_ants is not None and self.n_ants < 1:
@@ -169,17 +171,17 @@ class _Space:
         self.den = np.where(g.adj, math.ldexp(self.lam, shift) * d, np.inf)
         self.turn_weight = math.ldexp(self.gamma, shift)
         if beta is not None:
-            self.row_of, self.table = self.heading_rows(_ROW_TABLE_BYTES)
+            self.row_of, self.table = self.heading_rows()
             # some arrival pair has no stored row
             self.partial = self.table.shape[0] < 2 + g.adj.sum()
 
-    def heading_rows(self, table_bytes: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row_of, table) for a table of at most table_bytes (one scratch
-        row at least). Built a slice at a time, so the build's peak stays
-        near the table's size plus row_of, an (n + 1) x n int32 map: the
-        table's size at small n, but row_of alone is 2.4 MiB at 800 nodes."""
+    def heading_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row_of, table) for a table of at most _ROW_TABLE_BYTES (one
+        scratch row at least). Built a slice at a time, so the build's peak
+        stays near the table's size plus row_of, an (n + 1) x n int32 map:
+        the table's size at small n, but row_of alone is 2.4 MiB at 800 nodes."""
         n = self.n
-        h, i = self._shortest_arrivals(max(0, table_bytes // (8 * n) - 1))
+        h, i = self._shortest_arrivals(max(0, _ROW_TABLE_BYTES // (8 * n) - 1))
         row_of = np.full((n + 1, n), -1, dtype=np.int32)
         row_of[h, i] = np.arange(h.size)
         table = np.empty((h.size + 1, n))

@@ -82,24 +82,15 @@ def partition(farm: FarmMap, waypoints: WaypointSet, n_drones: int) -> list[list
         else (lambda grid: waypoints.row_col(grid)[0])
 
     cols = sorted({col_of(g) for g in valid})
-    col_pos = {}
-    for g in valid:
-        col_pos.setdefault(col_of(g), axis(waypoints.points[g]))
-
     mid = len(cols) // 2
-    if len(cols) % 2 == 0:
-        lower_cols = set(cols[:mid])
-    else:
-        boundary = cols[mid]
+    if len(cols) % 2:
         # station nearest to the middle column claims it for its side
-        dists = [(abs(axis(farm.stations[k]) - col_pos[boundary]),
-                  axis(farm.stations[k]), k) for k in range(2)]
-        _, winner_pos, _ = min(dists)
-        if winner_pos <= col_pos[boundary]:
-            lower_cols = set(cols[:mid + 1])
-        else:
-            lower_cols = set(cols[:mid])
-
+        pos = axis(waypoints.points[next(g for g in valid if col_of(g) == cols[mid])])
+        _, winner_pos, _ = min((abs(axis(farm.stations[k]) - pos),
+                                axis(farm.stations[k]), k) for k in range(2))
+        if winner_pos <= pos:
+            mid += 1
+    lower_cols = set(cols[:mid])
     lower = [g for g in valid if col_of(g) in lower_cols]
     upper = [g for g in valid if col_of(g) not in lower_cols]
     if not lower or not upper:

@@ -43,9 +43,9 @@ def _star(cx: float, cy: float, r: float) -> str:
     return " ".join(pts)
 
 
-def render_svg(farm: FarmMap, waypoints: WaypointSet | None = None,
+def render_svg(farm: FarmMap, waypoints: WaypointSet,
                plan: FleetPlan | None = None) -> str:
-    """Draw the farm, optionally its waypoint grid and a plan's tours.
+    """Draw the farm, its waypoint grid and optionally a plan's tours.
 
     Each drone's tour gets its own colour, direction arrows and a label
     with the drone's altitude.
@@ -99,12 +99,11 @@ def render_svg(farm: FarmMap, waypoints: WaypointSet | None = None,
                 f'height="{_fmt(obs.max_corner.y - obs.min_corner.y)}" '
                 f'fill="{OBSTACLE_FILL}" stroke="{OBSTACLE_STROKE}" stroke-width="1"/>')
 
-    if waypoints is not None:
-        for p, ok in zip(waypoints.points, waypoints.valid):
-            cls = "waypoint" if ok else "waypoint-invalid"
-            fill = WAYPOINT_FILL if ok else WAYPOINT_INVALID_FILL
-            parts.append(f'<circle class="{cls}" cx="{tx(p.x)}" cy="{ty(p.y)}" '
-                         f'r="2.2" fill="{fill}"/>')
+    for p, ok in zip(waypoints.points, waypoints.valid):
+        cls = "waypoint" if ok else "waypoint-invalid"
+        fill = WAYPOINT_FILL if ok else WAYPOINT_INVALID_FILL
+        parts.append(f'<circle class="{cls}" cx="{tx(p.x)}" cy="{ty(p.y)}" '
+                     f'r="2.2" fill="{fill}"/>')
 
     for i, d in enumerate(drones):
         if len(d.tour.nodes) < 2:

@@ -34,11 +34,6 @@ class RouteGraph:
     waypoint_grid_ids: tuple[int, ...]  # node i < home -> index into the WaypointSet
 
     @property
-    def dist(self) -> np.ndarray:
-        """(n, n) Euclidean lengths for all pairs, computed on each read."""
-        return pair_distances(self.xy)
-
-    @property
     def n_nodes(self) -> int:
         return self.xy.shape[0]
 
@@ -52,9 +47,6 @@ class RouteGraph:
 
     def point(self, node: int) -> Point2D:
         return Point2D(float(self.xy[node, 0]), float(self.xy[node, 1]))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i, j])
 
     def edges(self) -> list[tuple[int, int]]:
         ii, jj = np.nonzero(np.triu(self.adj, 1))
@@ -91,13 +83,12 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
     pts = [waypoints.points[g] for g in grid_ids] + [farm.stations[station]]
     n = len(pts)
     xy = np.array([[p.x, p.y] for p in pts], dtype=float)
-    dist = pair_distances(xy)
 
     adj = np.zeros((n, n), dtype=bool)
     need = farm.clear_m
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i, j] == 0.0:
+            if pts[i] == pts[j]:
                 continue  # coincident nodes cannot share a flyable edge
             seg = Segment2D(pts[i], pts[j])
             if all(min_clearance(seg, obs) >= need for obs in farm.obstacles):

@@ -90,9 +90,6 @@ class WaypointSet:
     def row_col(self, index: int) -> tuple[int, int]:
         return divmod(index, self.n_cols)
 
-    def grid_index(self, row: int, col: int) -> int:
-        return row * self.n_cols + col
-
     def valid_indices(self) -> tuple[int, ...]:
         return tuple(i for i, ok in enumerate(self.valid) if ok)
 

@@ -68,6 +68,9 @@ def test_params_validation():
         AcoParams(n_iterations=0)
     with pytest.raises(ValueError):
         AcoParams(beta=-1)
+    for seed in (np.int64(3), 1.5):  # random.Random would hash or reject these
+        with pytest.raises(ValueError, match="seed"):
+            AcoParams(seed=seed)
     p = AcoParams(variant="MMAS", rho=0.2)
     assert p.rho == 0.2
 
@@ -368,7 +371,7 @@ def test_row_table_build_stays_within_its_budget(n):
     budget = aco._ROW_TABLE_BYTES
     tracemalloc.start()  # rebuild the space's table, traced
     try:
-        row_of, table = space.heading_rows(budget)
+        row_of, table = space.heading_rows()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -589,7 +592,7 @@ def test_solve_with_the_station_on_a_waypoint(variant):
     # walk may close on that zero-length leg
     m = FarmMap(Point2D(0, 0), Point2D(60, 60), (), (Point2D(20, 20),), 0.0, 20.0)
     g = build_graph(m, generate_waypoints(m), 0)
-    assert (g.dist[g.home, :g.home] == 0.0).sum() == 1
+    assert (g.xy[:g.home] == g.xy[g.home]).all(axis=1).sum() == 1
     want = oracles.greedy_tour_cost(g.xy.tolist(), MODEL.lambda_kj_per_m,
                                     MODEL.gamma_kj_per_deg)
     assert nearest_neighbour_cost(g, MODEL) == pytest.approx(want, rel=1e-12)

@@ -181,6 +181,25 @@ def test_plan_baseline_solver(farm_file, tmp_path):
     assert json.loads(out.read_text())["solver"] == "back-and-forth"
 
 
+@pytest.mark.parametrize("solver", ["as", "mmas"])
+def test_plan_with_no_valid_colony_tour_exits_4(tmp_path, capsys, solver):
+    # two walls cut the three waypoints apart: every leg runs through home,
+    # so an ant strands after its first waypoint, while the sweep detours
+    p = write_map(tmp_path / "star.json",
+                  perimeter={"min": [0, 0], "max": [76, 30]}, grid_spacing_m=38,
+                  clearance_m=1, stations=[[38, 28]],
+                  obstacles=[{"type": "rect", "min": [17, -50], "max": [21, 10]},
+                             {"type": "rect", "min": [55, -50], "max": [59, 10]}])
+    out = tmp_path / "tour.json"
+    assert main(["plan", p, "--solver", solver, "--iterations", "5",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "planning failed: no valid coverage tour found\n"
+    assert json.loads(out.read_text())["valid"] is False
+    assert main(["plan", p, "--solver", "back-and-forth", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["valid"] is True
+
+
 def test_plan_two_drones_one_station_exits_4(farm_file, tmp_path, capsys):
     code = main(["plan", farm_file, "--drones", "2", "--iterations", "5",
                  "--out", str(tmp_path / "x.json")])

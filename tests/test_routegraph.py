@@ -5,7 +5,8 @@ import pytest
 
 from farmpatrol.fleet import plan_fleet
 from farmpatrol.geometry import Circle, Point2D, Rect, Segment2D, min_clearance
-from farmpatrol.routegraph import DisconnectedGraphError, build_graph, shortest_detour
+from farmpatrol.routegraph import (DisconnectedGraphError, build_graph, pair_distances,
+                                  shortest_detour)
 from farmpatrol.world import FarmMap, generate_waypoints
 
 
@@ -18,6 +19,7 @@ def make_map(width=100, height=100, obstacles=(), stations=((90, 90),),
 def all_simple_path_lengths(g, a, b):
     """Oracle: every simple path a..b with its total length, by DFS."""
     out = []
+    dist = pair_distances(g.xy)
 
     def walk(node, seen, length):
         if node == b:
@@ -25,7 +27,7 @@ def all_simple_path_lengths(g, a, b):
             return
         for v in range(g.n_nodes):
             if g.adj[node, v] and v not in seen:
-                walk(v, seen | {v}, length + g.dist[node, v])
+                walk(v, seen | {v}, length + dist[node, v])
 
     walk(a, {a}, 0.0)
     return out
@@ -56,13 +58,13 @@ def test_central_obstacle_prunes_crossing_edges():
         raise AssertionError
 
     # edges that would cross the blocked centre are gone
-    assert not g.has_edge(node_of(0, 0), node_of(76, 76))
-    assert not g.has_edge(node_of(0, 76), node_of(76, 0))
-    assert not g.has_edge(node_of(0, 38), node_of(76, 38))
-    assert not g.has_edge(node_of(38, 0), node_of(38, 76))
+    assert not g.adj[node_of(0, 0), node_of(76, 76)]
+    assert not g.adj[node_of(0, 76), node_of(76, 0)]
+    assert not g.adj[node_of(0, 38), node_of(76, 38)]
+    assert not g.adj[node_of(38, 0), node_of(38, 76)]
     # edges passing well clear remain
-    assert g.has_edge(node_of(0, 0), node_of(38, 0))
-    assert g.has_edge(node_of(0, 0), node_of(0, 76))
+    assert g.adj[node_of(0, 0), node_of(38, 0)]
+    assert g.adj[node_of(0, 0), node_of(0, 76)]
 
 
 def test_zero_clearance_prunes_legs_that_touch_or_cross_obstacles():
@@ -73,7 +75,7 @@ def test_zero_clearance_prunes_legs_that_touch_or_cross_obstacles():
     node_of = {g.point(k): k for k in range(g.n_nodes)}
 
     def edge(a, b):
-        return g.has_edge(node_of[Point2D(*a)], node_of[Point2D(*b)])
+        return g.adj[node_of[Point2D(*a)], node_of[Point2D(*b)]]
 
     assert not edge((20, 20), (60, 20))  # through the circle
     assert not edge((0, 20), (20, 40))   # through the rect's corner (10, 30)
@@ -110,10 +112,11 @@ def test_shortest_detour_matches_enumeration():
     m = detour_map()
     g = build_graph(m, generate_waypoints(m), 0)
     a, b = 0, 1  # (0,0) and (40,0), direct edge pruned by the wall
-    assert not g.has_edge(a, b)
+    assert not g.adj[a, b]
     path = shortest_detour(g, a, b)
     assert path[0] == a and path[-1] == b
-    length = sum(g.dist[u, v] for u, v in zip(path, path[1:]))
+    dist = pair_distances(g.xy)
+    length = sum(dist[u, v] for u, v in zip(path, path[1:]))
     lengths = all_simple_path_lengths(g, a, b)
     assert length == pytest.approx(min(lengths), rel=1e-12)
     # every hop must be an actual edge
@@ -148,7 +151,7 @@ def test_coincident_station_gets_no_zero_edge():
     # station directly on top of waypoint (0, 0)
     m = make_map(stations=((0, 0),))
     g = build_graph(m, generate_waypoints(m), 0)
-    assert not g.has_edge(0, g.home)
+    assert not g.adj[0, g.home]
     # still connected through the other waypoints
     assert len(shortest_detour(g, g.home, 0)) == 3
 
@@ -175,6 +178,7 @@ def test_rebuild_is_deterministic():
 def test_edge_lengths_are_euclidean():
     m = make_map(stations=((-10, 0),))
     g = build_graph(m, generate_waypoints(m), 0)
+    dist = pair_distances(g.xy)
     for i, j in g.edges():
         pi, pj = g.point(i), g.point(j)
-        assert g.dist[i, j] == pytest.approx(math.hypot(pj.x - pi.x, pj.y - pi.y), rel=1e-15)
+        assert dist[i, j] == pytest.approx(math.hypot(pj.x - pi.x, pj.y - pi.y), rel=1e-15)

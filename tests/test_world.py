@@ -138,7 +138,8 @@ def test_waypoint_exactly_at_clearance_is_valid():
                       clearance_m=20, stations=[[90, 90]])
     w = generate_waypoints(load_map(doc))
     # waypoint (38, 38) sits exactly clearance + radius above the center
-    idx = w.grid_index(1, 1)
+    idx = 4  # row 1, column 1 of the 3 x 3 grid
+    assert w.row_col(idx) == (1, 1)
     assert w.points[idx] == Point2D(38, 38)
     assert w.valid[idx]
 
@@ -147,8 +148,8 @@ def test_waypoint_inside_clearance_is_invalid():
     doc = minimal_doc(obstacles=[{"type": "rect", "min": [30, 30], "max": [46, 46]}],
                       stations=[[90, 90]])
     w = generate_waypoints(load_map(doc))
-    assert not w.valid[w.grid_index(1, 1)]
-    assert w.valid[w.grid_index(0, 0)]
+    assert not w.valid[4]  # row 1, column 1 of the 3 x 3 grid
+    assert w.valid[0]
     assert w.n_valid == 8
 
 
