@@ -18,10 +18,16 @@ tour and deposits nothing.
 
 solve is the only entry point. All ants of an iteration are constructed in
 lockstep on numpy arrays (_construct_batch). A step reads the eta^beta row
-of each ant's (previous node, node) pair. solve keeps up to _ROW_TABLE_BYTES
-of these rows, those of the shortest arrival legs first, at every graph
-size, and computes the others per step by the same formula. Which rows are
-kept changes speed and memory, never a tour (see _Space).
+of each ant's (previous node, node) pair from a table of at most
+_ROW_TABLE_BYTES (see _Space). When the full rows of every pair fit, as on
+the reference farm, the table holds them all and an ant weighs every
+unvisited neighbour. On a larger graph an ant weighs only the candidates of
+its node, its _CANDIDATES nearest clear neighbours (candidate lists, Dorigo
+& Gambardella 1997; Stützle & Hoos 2000), and hops to its nearest
+unvisited clear neighbour when every candidate is visited; the table holds
+the candidate rows of as many pairs as fit and a step computes the others.
+Within each path the budget changes speed and memory, never a tour; a graph
+that crosses it changes path, and so tours.
 The closed tours of an iteration are costed together, row by row, with the
 same arithmetic as tour_cost and the energy coefficients held by the
 solve's one _Space. Incomplete walks are costed only while no
@@ -73,6 +79,9 @@ MAX_DEFAULT_ANTS = 50
 # bytes of eta^beta rows a solve keeps (_Space.table), about the size of
 # every (h, i) row of an 80-node graph
 _ROW_TABLE_BYTES = 4 << 20
+# nearest clear neighbours an ant chooses among on a graph whose arrival rows
+# do not all fit _ROW_TABLE_BYTES (_Space.candidates)
+_CANDIDATES = 8
 # uniforms a solve draws from its rng per getrandbits call
 _DRAW_BLOCK = 4096
 
@@ -91,8 +100,10 @@ class AcoParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an int, got {type(self.seed).__name__}")
+        for name, value in (("seed", self.seed), ("n_iterations", self.n_iterations),
+                            ("n_ants", 1 if self.n_ants is None else self.n_ants)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {type(value).__name__}")
         if self.variant not in ("AS", "MMAS"):
             raise ValueError(f"unknown variant {self.variant!r}, expected 'AS' or 'MMAS'")
         if self.n_ants is not None and self.n_ants < 1:
@@ -134,17 +145,20 @@ class _Space:
     lam and gamma are the model's coefficients, dist holds the Euclidean
     length of every node pair, and den = lam * dist (pruned pairs at
     infinity) and turn_weight = gamma are both scaled by one power of two.
-    eta_pow_rows(h, i) gives the (m, n) eta^beta rows for hops out of i[k]
-    by an ant that arrived from h[k] (h = -1: no heading yet). An ant only
-    arrives over an edge, so the rows a step can read are those of the pairs
-    (h, i) with adj[h, i], plus (-1, home). table keeps the rows of as many
-    of these pairs as fit in _ROW_TABLE_BYTES, shortest arrival legs first,
-    then a scratch row; row_of[h, i] is the pair's row in table, or -1 (the
-    scratch row, overwritten in the step's copy). A pair not kept has its
-    row computed per step by the same formula (computed_rows), bit for bit
-    the stored row. The reference farm's graphs keep every pair; at 156
-    nodes about 20 arrivals per node fit, on average. With beta None no
-    table is built (nearest_neighbour_cost reads none).
+
+    An ant at node i weighs its options: every node, or, with candidate
+    lists, the nodes cand[i] (see candidates). computed_rows(h, i) gives the
+    (m, width) eta^beta values over the options of i[k] for an ant that
+    arrived from h[k] (h = -1: no heading yet). An ant only arrives over an
+    edge, so the rows a step can read are those of the pairs (h, i) with
+    adj[h, i], plus (-1, home); eta_pow_rows reads them from table, where
+    row_of[h, i] is the pair's row. When every pair's full row fits
+    _ROW_TABLE_BYTES, as on the reference farm and the halves of a
+    600 x 350 m field, cand is None and table holds them all. Otherwise
+    the ants use candidate lists, and table holds the candidate rows of as
+    many pairs as fit, the pairs an ant reaches by choosing a candidate
+    first (heading_rows); a step computes the rows of the others. With
+    beta None no table is built (nearest_neighbour_cost reads none).
     """
 
     def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None):
@@ -170,56 +184,85 @@ class _Space:
         shift = -math.frexp(max(self.lam, self.gamma))[1]
         self.den = np.where(g.adj, math.ldexp(self.lam, shift) * d, np.inf)
         self.turn_weight = math.ldexp(self.gamma, shift)
+        self.cand = None
         if beta is not None:
+            if (1 + int(g.adj.sum())) * 8 * self.n > _ROW_TABLE_BYTES:
+                self.cand = self.candidates()
             self.row_of, self.table = self.heading_rows()
-            # some arrival pair has no stored row
-            self.partial = self.table.shape[0] < 2 + g.adj.sum()
+
+    def candidates(self) -> np.ndarray:
+        """(n, width) candidate lists, width = min(_CANDIDATES, n): each
+        node's nearest clear neighbours by leg length, home and zero-length
+        legs left out and ties to the lower index, in ascending node order.
+        A node with fewer such neighbours pads its list with itself, which
+        an ant never picks: it is visited and has no leg to itself."""
+        legs = np.where(self.edge, self.dist, np.inf)
+        legs[:, self.home] = np.inf
+        near = np.argsort(legs, axis=1, kind="stable")[:, :_CANDIDATES]
+        clear = np.isfinite(np.take_along_axis(legs, near, axis=1))
+        cand = np.where(clear, near, np.arange(self.n)[:, None])
+        cand.sort(axis=1)
+        return cand
 
     def heading_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row_of, table) for a table of at most _ROW_TABLE_BYTES (one
-        scratch row at least). Built a slice at a time, so the build's peak
-        stays near the table's size plus row_of, an (n + 1) x n int32 map:
-        the table's size at small n, but row_of alone is 2.4 MiB at 800 nodes."""
+        """(row_of, table): the rows of as many arrival pairs as fit
+        _ROW_TABLE_BYTES, (-1, home) first, then node h by node h the pairs
+        (h, i); with candidate lists, those with i a candidate of h, the
+        pairs an ant reaches by choosing a candidate, before the others.
+        Built a slice of about size / 64 pairs at a time, so the build's
+        peak stays near the table's size plus row_of, an (n + 1) x n int32
+        map."""
         n = self.n
-        h, i = self._shortest_arrivals(max(0, _ROW_TABLE_BYTES // (8 * n) - 1))
+        if self.cand is None:
+            width, groups = n, (self.adj,)
+        else:
+            width = self.cand.shape[1]
+            listed = np.zeros((n, n), dtype=bool)
+            listed[np.arange(n)[:, None], self.cand] = True
+            groups = (self.adj & listed, self.adj & ~listed)
+        size = min(1 + int(self.adj.sum()), _ROW_TABLE_BYTES // (8 * width))
         row_of = np.full((n + 1, n), -1, dtype=np.int32)
-        row_of[h, i] = np.arange(h.size)
-        table = np.empty((h.size + 1, n))
-        stored = table[:-1]
-        chunk = max(1, h.size // 32)
-        for a in range(0, h.size, chunk):
-            stored[a:a + chunk] = self.computed_rows(h[a:a + chunk], i[a:a + chunk])
+        table = np.empty((size, width))
+        row_of[-1, self.home] = 0
+        table[0] = self.computed_rows(np.array([-1]), np.array([self.home]))
+        filled = 1
+        per = max(1, size // 64)
+        for group in groups:
+            # cut before the node h whose pairs pass each multiple of per
+            ends = np.cumsum(group.sum(axis=1))
+            cuts = sorted({0, n, *np.searchsorted(ends, np.arange(per, ends[-1], per)).tolist()})
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                h, i = np.nonzero(group[a:b])
+                h, i = h[:size - filled] + a, i[:size - filled]
+                row_of[h, i] = np.arange(filled, filled + h.size)
+                table[filled:filled + h.size] = self.computed_rows(h, i)
+                filled += h.size
         return row_of, table
 
-    def _shortest_arrivals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first k arrival pairs (h, i): (-1, home), then the k - 1
-        shortest arrival edges by leg length."""
-        h = i = np.empty(0, dtype=np.int64)
-        cols = max(1, k // 16)  # merge a slice of columns at a time
-        for a in range(0, self.n, cols):
-            sh, si = np.nonzero(self.adj[:, a:a + cols])
-            h, i = np.concatenate([h, sh]), np.concatenate([i, si + a])
-            keep = np.argsort(self.dist[h, i], kind="stable")[:max(0, k - 1)]
-            h, i = h[keep], i[keep]
-        return (np.concatenate([[-1], h])[:k],
-                np.concatenate([[self.home], i])[:k])
+    def options(self, i: np.ndarray):
+        """Index of the options out of nodes i in an (n, n) array: rows i
+        whole, or each row at its candidates."""
+        return i if self.cand is None else (i[:, None], self.cand[i])
 
     def theta_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """(m, n) heading changes at i[k] from heading h[k]->i[k]; zero rows
-        where h[k] < 0 (no history)."""
-        out = _turns(self.ux[h, i][:, None], self.uy[h, i][:, None], self.ux[i], self.uy[i])
+        """(m, width) heading changes at i[k] from heading h[k]->i[k] onto
+        the options of i[k]; zero rows where h[k] < 0 (no history)."""
+        at = self.options(i)
+        out = _turns(self.ux[h, i][:, None], self.uy[h, i][:, None], self.ux[at], self.uy[at])
         out[h < 0] = 0.0
         return out
 
     def computed_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """(m, n) values of eta^beta for hops i[k] -> j given history h[k]."""
-        return _pow_eta(self.den[i] + self.turn_weight * self.theta_rows(h, i), self.beta)
+        """(m, width) values of eta^beta for hops out of i[k] given history h[k]."""
+        return _pow_eta(self.den[self.options(i)] + self.turn_weight * self.theta_rows(h, i),
+                        self.beta)
 
     def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """computed_rows(h, i), read from table where it holds the pair."""
+        """computed_rows(h, i), read from table; only a table of candidate
+        rows can miss a pair, whose row is computed."""
         rows = self.row_of[h, i]
         out = self.table.take(rows, axis=0)
-        if self.partial and rows.min() < 0:
+        if self.cand is not None and rows.min() < 0:
             miss = rows < 0
             out[miss] = self.computed_rows(h[miss], i[miss])
         return out
@@ -277,9 +320,11 @@ class _Uniforms:
         return out
 
 
-# w *= free in a step makes nan of an infinite weight on a visited node, which
-# the step handles; set per batch, since entering errstate costs ~2 us
-@np.errstate(invalid="ignore")
+# w *= free in a step makes nan of an infinite weight on a visited node, and
+# a row computed per step has eta^beta overflow to inf for a tiny lambda, as
+# the table's rows do in solve; the step handles both. Set per batch, since
+# entering errstate costs ~2 us
+@np.errstate(invalid="ignore", over="ignore")
 def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                      draw: Callable[[int], np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,8 +341,14 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     path so far and a 0/1 float mask of unvisited nodes that is multiplied
     into the weights. It shrinks only on a step where an ant strands, which
     is when that ant's walk is copied out.
+
+    On a graph with candidate lists (space.cand), a step weighs each ant's
+    options only at its node's candidates, (m, width) slices of the same
+    weights. An ant none of whose candidates is unvisited hops to its
+    nearest unvisited clear neighbour (lowest lambda * d, ties to the lower
+    index), and still takes its uniform; with none it strands.
     """
-    n, home = space.n, space.home
+    n, home, cand = space.n, space.home, space.cand
     n_way = home
     paths = np.empty((m, n_way + 2), dtype=np.int64)
     lengths = np.full(m, n_way + 1)
@@ -311,15 +362,22 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
 
     for step in range(1, n_way + 1):
         w = space.eta_pow_rows(prev, cur)
-        w *= tau_pow.take(cur, axis=0)
-        w *= free
+        if cand is None:
+            w *= tau_pow.take(cur, axis=0)
+            opts = free  # the unvisited mask at each ant's options
+        else:
+            c = cand.take(cur, axis=0)  # each ant's options
+            w *= tau_pow[cur[:, None], c]
+            opts = free[rows[:, None], c]
+        w *= opts
         tot = w.sum(axis=1)
+        hop = None  # with candidate lists: each ant's off-list hop, or -1
         if not tot.min() > 0.0:
             # some row has no positive total: a dead end, every option
             # underflowed to zero, or an infinite weight turned into nan on a
             # visited or pruned node; zero the visited nodes outright and
             # look again
-            w[free == 0.0] = 0.0
+            w[opts == 0.0] = 0.0
             tot = w.sum(axis=1)
             big = ~np.isfinite(tot)
             if big.any():
@@ -329,29 +387,44 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                 tot = w.sum(axis=1)
             empty = tot <= 0.0
             if empty.any():
-                feas = space.adj[cur] & (free > 0.0)
+                feas = opts > 0.0  # candidates are edges
+                if cand is None:
+                    feas &= space.adj[cur]
                 rescue = empty & feas.any(axis=1)
                 if rescue.any():
                     w[rescue] = feas[rescue]  # uniform fallback
                     tot = w.sum(axis=1)
                 dead = empty & ~rescue
+                if cand is not None and dead.any():
+                    # every candidate visited: the nearest unvisited clear
+                    # neighbour, if there is one
+                    near = np.where(free[dead] > 0.0, space.den[cur[dead]], np.inf)
+                    pick = near.argmin(axis=1)
+                    hop = np.full(ids.size, -1)
+                    hop[dead] = np.where(np.isfinite(near.min(axis=1)), pick, -1)
+                    dead &= hop < 0
                 if dead.any():
                     paths[ids[dead]] = walk[dead]
                     lengths[ids[dead]] = step
                     keep = ~dead
                     ids, walk, free, cur, prev, w, tot = (
                         a[keep] for a in (ids, walk, free, cur, prev, w, tot))
+                    if cand is not None:
+                        c, hop = c[keep], hop[keep]
                     rows = np.arange(ids.size)
                     if ids.size == 0:
                         break
         r = draw(ids.size) * tot
         csum = np.add.accumulate(w, axis=1)
-        nxt = (csum > r[:, None]).argmax(axis=1)
+        pick = (csum > r[:, None]).argmax(axis=1)
         # guard the rare rounding case r >= csum[-1]: take the last option
         overshoot = csum[:, -1] <= r
         if overshoot.any():
-            last = n - 1 - np.argmax(w[:, ::-1] > 0, axis=1)
-            nxt = np.where(overshoot, last, nxt)
+            last = w.shape[1] - 1 - np.argmax(w[:, ::-1] > 0, axis=1)
+            pick = np.where(overshoot, last, pick)
+        nxt = pick if cand is None else c[rows, pick]
+        if hop is not None:
+            nxt = np.where(hop >= 0, hop, nxt)
         free[rows, nxt] = 0.0
         walk[:, step] = nxt
         prev, cur = cur, nxt
@@ -485,6 +558,11 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
           trace=None) -> SolverRun:
     """Run the configured colony, polishing its complete tours with 2-opt
     (_two_opt) as they improve on the result, and return the best.
+
+    The ants weigh every unvisited neighbour when the full heading rows of
+    g, (1 + directed edges) * n_nodes * 8 bytes, fit _ROW_TABLE_BYTES, and
+    only the candidate lists of their node otherwise (see _Space). The two
+    steps give different tours on the same graph.
 
     Raises ValueError, an energy scale that overflows on this map, when the
     greedy reference cost q (see nearest_neighbour_cost) is not finite and

@@ -86,6 +86,8 @@ class BenchConfig:
     aco: AcoParams = field(default_factory=lambda: AcoParams(seed=DEFAULT_SEED))
 
     def __post_init__(self):
+        if not isinstance(self.n_trials, int):
+            raise ValueError(f"n_trials must be an int, got {type(self.n_trials).__name__}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
 

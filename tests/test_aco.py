@@ -71,6 +71,9 @@ def test_params_validation():
     for seed in (np.int64(3), 1.5):  # random.Random would hash or reject these
         with pytest.raises(ValueError, match="seed"):
             AcoParams(seed=seed)
+    for name in ("n_ants", "n_iterations"):  # range() would raise TypeError in solve
+        with pytest.raises(ValueError, match=name):
+            AcoParams(**{name: 2.5})
     p = AcoParams(variant="MMAS", rho=0.2)
     assert p.rho == 0.2
 
@@ -332,13 +335,30 @@ def stored_pairs(space):
     return h, i, space.row_of[h, i]
 
 
+def candidate_lists(g, k):
+    """Each node's k nearest clear neighbours, home and zero-length legs left
+    out, ties to the lower index, from a scan of the points."""
+    lists = []
+    for a in range(g.n_nodes):
+        near = sorted((math.dist(g.xy[a], g.xy[b]), b) for b in range(g.n_waypoints)
+                      if g.adj[a, b] and math.dist(g.xy[a], g.xy[b]) > 0)
+        lists.append(sorted(b for _, b in near[:k]))
+    return lists
+
+
+def budget_for(g, rows):
+    """A _ROW_TABLE_BYTES that holds `rows` candidate rows of g."""
+    return 8 * min(aco._CANDIDATES, g.n_nodes) * rows
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5, 3.0])
 def test_stored_heading_rows_equal_computed_rows(beta):
     g = random_graph(40, 6)
     space = aco._Space(g, MODEL, beta)
+    assert space.cand is None
     h, i, rows = stored_pairs(space)
     assert sorted(zip(h.tolist(), i.tolist())) == sorted(arrival_pairs(g))  # all fit
-    assert np.array_equal(np.sort(rows), np.arange(space.table.shape[0] - 1))
+    assert np.array_equal(np.sort(rows), np.arange(space.table.shape[0]))
     # the step reads the stored rows, bit for bit the formula's
     assert np.array_equal(space.table[rows].view(np.uint64),
                           space.computed_rows(h, i).view(np.uint64))
@@ -347,27 +367,71 @@ def test_stored_heading_rows_equal_computed_rows(beta):
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5, 3.0])
-def test_solve_with_a_tiny_row_table_is_unchanged(monkeypatch, beta):
+def test_candidate_rows_past_the_row_table_budget(monkeypatch, beta):
+    # a graph whose full rows do not fit the budget uses candidate lists, and
+    # its table holds the candidate rows of the 40 first arrival pairs
     g = random_graph(30, 7, keep=0.6)
-    params = AcoParams(n_ants=10, n_iterations=25, seed=13, beta=beta)
-    full = solve(g, MODEL, params)
-    budget = 8 * g.n_nodes * 9  # 8 stored rows and the scratch row
-    monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget)
+    full = aco._Space(g, MODEL, beta)
+    monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 40))
     space = aco._Space(g, MODEL, beta)
-    assert (space.row_of >= 0).sum() == 8 < len(arrival_pairs(g)) // 40
-    h, i = np.array(arrival_pairs(g)).T  # misses computed per step, bit for bit
-    assert np.array_equal(space.eta_pow_rows(h, i).view(np.uint64),
-                          space.computed_rows(h, i).view(np.uint64))
-    tiny = solve(g, MODEL, params)
-    assert tiny.best_tour == full.best_tour
-    assert tiny.best_cost_history == full.best_cost_history
-    assert tiny.best_iteration == full.best_iteration
+    assert full.cand is None and space.cand.tolist() == candidate_lists(g, aco._CANDIDATES)
+    h, i, rows = stored_pairs(space)
+    assert np.array_equal(np.sort(rows), np.arange(40))
+    listed = [(a, b) for a, b in zip(h.tolist(), i.tolist()) if a < 0 or b in space.cand[a]]
+    assert len(listed) == 40  # the pairs reached by choosing a candidate come first
+    # stored, computed per step and full rows at the candidates agree bit for bit
+    h, i = np.array(arrival_pairs(g)).T
+    want = space.computed_rows(h, i)
+    assert np.array_equal(space.eta_pow_rows(h, i).view(np.uint64), want.view(np.uint64))
+    full_at_candidates = np.take_along_axis(full.computed_rows(h, i), space.cand[i], axis=1)
+    assert np.array_equal(want.view(np.uint64), full_at_candidates.view(np.uint64))
+    # the same seed gives the same tours, walks and trails
+    params = AcoParams(n_ants=10, n_iterations=25, seed=13, beta=beta)
+    run, payloads = traced_solve(g, params)
+    assert (run, payloads) == traced_solve(g, params)
+    assert run.best_tour.is_valid and run.best_tour == tour_cost(g, MODEL, run.best_tour.nodes)
+
+
+@pytest.mark.parametrize("variant,graph,seen_hop", [("AS", (40, 8, 0.3), "nearest"),
+                                                    ("MMAS", (60, 9, 0.15), "nearest"),
+                                                    ("AS", (35, 10, 0.08), "stranded")])
+def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeypatch, variant,
+                                                                         graph, seen_hop):
+    # every hop goes to an unvisited candidate of the ant's node, or, when
+    # every candidate is visited, to its nearest unvisited clear neighbour
+    # (ties to the lower index); an ant strands only with none
+    g = random_graph(*graph)
+    monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 50))
+    lists = candidate_lists(g, aco._CANDIDATES)
+    hops = {"listed": 0, "nearest": 0, "stranded": 0}
+    _, payloads = traced_solve(g, AcoParams(variant=variant, n_ants=12, n_iterations=8, seed=3))
+    for *_, ants in payloads:
+        for nodes, _, complete in ants:
+            seen = {g.home}
+            for a, b in zip(nodes, nodes[1:len(nodes) - complete]):
+                open_listed = [c for c in lists[a] if c not in seen]
+                if open_listed:
+                    assert b in open_listed
+                    hops["listed"] += 1
+                else:
+                    near = min((math.dist(g.xy[a], g.xy[c]), c) for c in range(g.n_waypoints)
+                               if g.adj[a, c] and c not in seen)
+                    assert b == near[1]
+                    hops["nearest"] += 1
+                seen.add(b)
+            if not complete:
+                assert len(nodes) < g.n_nodes
+                assert not any(g.adj[nodes[-1], c] for c in range(g.n_waypoints)
+                               if c not in seen)
+                hops["stranded"] += 1
+    assert hops["listed"] and hops[seen_hop]
 
 
 @pytest.mark.parametrize("n", [80, 160, 400])
 def test_row_table_build_stays_within_its_budget(n):
     g = random_graph(n, 3)
     space = aco._Space(g, MODEL, 3.0)
+    assert (space.cand is None) == (n == 80)  # 160 and 400 nodes use candidate lists
     budget = aco._ROW_TABLE_BYTES
     tracemalloc.start()  # rebuild the space's table, traced
     try:
@@ -378,18 +442,14 @@ def test_row_table_build_stays_within_its_budget(n):
     assert table.nbytes <= budget
     assert peak < 1.5 * table.nbytes
     assert np.array_equal(row_of, space.row_of)
-    assert np.array_equal(table[:-1], space.table[:-1])  # the last row is scratch
+    assert np.array_equal(table, space.table)
     h, i, rows = stored_pairs(space)
-    if table.shape[0] - 1 < len(arrival_pairs(g)):
-        assert table.nbytes > budget - 8 * n  # the budget is spent
-    # each node keeps a nearest-first prefix of its predecessors
-    for node in range(n):
-        preds = np.nonzero(g.adj[:, node])[0]
-        by_leg = preds[np.argsort(space.dist[preds, node], kind="stable")]
-        kept = h[i == node]
-        kept = kept[kept >= 0]
-        assert sorted(kept.tolist()) == sorted(by_leg[:kept.size].tolist())
     assert (-1, g.home) in zip(h.tolist(), i.tolist())
+    if table.shape[0] < len(arrival_pairs(g)):
+        assert n == 400 and table.nbytes > budget - table[0].nbytes  # the budget is spent
+        # every pair reached by choosing a candidate is kept
+        listed = g.adj[np.arange(n)[:, None], space.cand]
+        assert (row_of[:n][np.arange(n)[:, None], space.cand][listed] >= 0).all()
 
 
 def test_pow_eta_at_beta_one_is_the_reciprocal():

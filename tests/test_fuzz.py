@@ -3,20 +3,24 @@ a FarmMap or raises MapSchemaError, and plan_fleet returns a plan whose
 exported paths reproduce each drone's cost, or raises DisconnectedGraphError
 or PlanningError. On any numeric flag value, `farmpatrol plan` exits with a
 documented code and writes at most one line to stderr, and so do `bench`
-and `render` on a few values per flag."""
+and `render` on a few values per flag. The maps and the colony flags also
+run with the heading-row budget shrunk, so that the ants use candidate
+lists (see aco._Space)."""
 
 import random
 from importlib import resources
 
 import pytest
 
+from farmpatrol import aco
 from farmpatrol.aco import AcoParams
 from farmpatrol.cli import main
 from farmpatrol.energy import EnergyModel
 from farmpatrol.fleet import SOLVERS, PlanningError, plan_fleet
 from farmpatrol.render import export_path, verify_export
-from farmpatrol.routegraph import DisconnectedGraphError
-from farmpatrol.world import FarmMap, MapSchemaError, generate_waypoints, load_map
+from farmpatrol.routegraph import DisconnectedGraphError, build_graph
+from farmpatrol.world import (FarmMap, MapSchemaError, generate_waypoints, load_map,
+                              reference_farm)
 
 MODEL = EnergyModel()
 MAX_WAYPOINTS = 60  # larger grids take too long to plan six times over
@@ -60,9 +64,31 @@ def random_map(rng: random.Random) -> dict:
     }
 
 
+def past_the_budget(monkeypatch):
+    """Shrink the heading-row budget to 64 candidate rows: every graph of
+    ten nodes or more is then past it, and its table misses most pairs."""
+    monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", 8 * aco._CANDIDATES * 64)
+
+
+def uses_candidates(g) -> bool:
+    return (1 + int(g.adj.sum())) * 8 * g.n_nodes > aco._ROW_TABLE_BYTES
+
+
 def test_random_maps_plan_or_fail_typed():
-    rng = random.Random(11)
+    plan_random_maps(random.Random(11))
+
+
+def test_random_maps_past_the_row_table_budget_plan_or_fail_typed(monkeypatch):
+    past_the_budget(monkeypatch)
+    assert plan_random_maps(random.Random(12)) > 0
+
+
+def plan_random_maps(rng: random.Random) -> int:
+    """Plan 100 random maps with every solver on one and two drones, check
+    every outcome, and return the number of drones whose graph used
+    candidate lists."""
     outcomes = {"schema": 0, "planned": 0, "typed": 0}
+    candidate_graphs = 0
     for k in range(100):
         doc = random_map(rng)
         try:
@@ -84,10 +110,12 @@ def test_random_maps_plan_or_fail_typed():
                     continue
                 outcomes["planned"] += 1
                 for d in plan.drones:
+                    candidate_graphs += solver != "back-and-forth" and uses_candidates(d.graph)
                     doc_path = export_path(d.tour, d.graph, d.altitude_m)
                     cost = verify_export(doc_path, MODEL.lambda_kj_per_m, MODEL.gamma_kj_per_deg)
                     assert cost == pytest.approx(d.tour.cost_kj, rel=1e-9, abs=1e-9), (doc, solver)
     assert min(outcomes.values()) > 0, outcomes  # every outcome is exercised
+    return candidate_graphs
 
 
 FLOATS = ["0.5", "3", "nan", "inf", "-inf", "1e308", "1e-320", "-1", "-0.0"]
@@ -128,6 +156,7 @@ def assert_documented_exit(argv, capsys):
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3, 4), argv
     assert err.count("\n") == (code != 0), (argv, err)
+    return code
 
 
 def test_numeric_flag_values_exit_documented(tmp_path, capsys):
@@ -137,6 +166,28 @@ def test_numeric_flag_values_exit_documented(tmp_path, capsys):
                 "--solver", solver, "--drones", drones]
         argv += [f"{flag}={value}" for flag, value in flags]  # "-inf" is not an option
         assert_documented_exit(argv, capsys)
+
+
+def test_colony_flag_values_past_the_row_table_budget_exit_documented(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the weight flags at every value under each of SETTINGS, then infinite
+    # trails: MMAS at a tiny rho, AS at a tiny energy model (n_ants / q)
+    past_the_budget(monkeypatch)
+    farm = reference_farm()
+    assert uses_candidates(build_graph(farm, generate_waypoints(farm), 0))
+    out = str(tmp_path / "tour.json")
+    cases = [(setting, [(flag, value)], False)
+             for flag in ("--alpha", "--beta", "--lambda", "--gamma")
+             for value in FLAGS[flag] for setting in SETTINGS]
+    for drones in ("1", "2"):  # these plan
+        cases.append((("mmas", drones), [("--rho", "1e-320")], True))
+        cases.append((("as", drones), [("--lambda", "1e-320"), ("--gamma", "1e-320")], True))
+    for (solver, drones), flags, plans in cases:
+        argv = ["plan", REFERENCE_MAP, "--iterations", "2", "--out", out,
+                "--solver", solver, "--drones", drones]
+        argv += [f"{flag}={value}" for flag, value in flags]
+        code = assert_documented_exit(argv, capsys)
+        assert code == 0 or not plans, argv
 
 
 def test_numeric_flag_values_exit_documented_in_bench_and_render(tmp_path, capsys):

@@ -141,3 +141,5 @@ def test_bench_json_key_order():
 def test_bench_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(n_trials=0)
+    with pytest.raises(ValueError, match="n_trials"):
+        BenchConfig(n_trials=1.5)  # range() would raise TypeError in run_benchmark
