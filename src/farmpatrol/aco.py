@@ -195,12 +195,18 @@ class _Space:
         node's nearest clear neighbours by leg length, home and zero-length
         legs left out and ties to the lower index, in ascending node order.
         A node with fewer such neighbours pads its list with itself, which
-        an ant never picks: it is visited and has no leg to itself."""
-        legs = np.where(self.edge, self.dist, np.inf)
-        legs[:, self.home] = np.inf
-        near = np.argsort(legs, axis=1, kind="stable")[:, :_CANDIDATES]
-        clear = np.isfinite(np.take_along_axis(legs, near, axis=1))
-        cand = np.where(clear, near, np.arange(self.n)[:, None])
+        an ant never picks: it is visited and has no leg to itself. Ranked
+        a slice of rows at a time, so the build's temporaries stay within
+        _ROW_TABLE_BYTES / 64 at any graph size."""
+        n = self.n
+        cand = np.empty((n, min(_CANDIDATES, n)), dtype=np.int64)
+        per = max(1, _ROW_TABLE_BYTES // 64 // (16 * n))  # a float and an index per pair
+        for a in range(0, n, per):
+            legs = np.where(self.edge[a:a + per], self.dist[a:a + per], np.inf)
+            legs[:, self.home] = np.inf
+            near = np.argsort(legs, axis=1, kind="stable")[:, :_CANDIDATES]
+            clear = np.isfinite(np.take_along_axis(legs, near, axis=1))
+            cand[a:a + per] = np.where(clear, near, np.arange(a, a + len(legs))[:, None])
         cand.sort(axis=1)
         return cand
 
@@ -276,17 +282,20 @@ def _turns(ux_in, uy_in, ux_out, uy_out) -> np.ndarray:
 
 
 def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
-    """(1/den)^beta with 0 at den=inf, also for beta == 0."""
+    """(1/den)^beta with 0 at den=inf, also for beta == 0. A den of 0 (lambda
+    * d underflowed on a straight hop) or a power past the float range gives
+    inf, which the step's rescue takes as the limit."""
     if beta == 0.0:
         return np.isfinite(den).astype(float)
     inv = np.zeros_like(den)
-    np.divide(1.0, den, out=inv, where=np.isfinite(den))
-    if float(beta).is_integer() and 2 <= beta <= 8:
-        out = inv * inv
-        for _ in range(int(beta) - 2):
-            out *= inv
-        return out
-    return np.power(inv, beta)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, den, out=inv, where=np.isfinite(den))
+        if float(beta).is_integer() and 2 <= beta <= 8:
+            out = inv * inv
+            for _ in range(int(beta) - 2):
+                out *= inv
+            return out
+        return np.power(inv, beta)
 
 
 class _Uniforms:
@@ -320,10 +329,9 @@ class _Uniforms:
         return out
 
 
-# w *= free in a step makes nan of an infinite weight on a visited node, and
-# a row computed per step has eta^beta overflow to inf for a tiny lambda, as
-# the table's rows do in solve; the step handles both. Set per batch, since
-# entering errstate costs ~2 us
+# w *= free in a step makes nan of an infinite weight on a visited node,
+# which the step handles, and a row of huge finite weights can overflow its
+# total. Set per batch, since entering errstate costs ~2 us
 @np.errstate(invalid="ignore", over="ignore")
 def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                      draw: Callable[[int], np.ndarray]
@@ -345,7 +353,7 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     On a graph with candidate lists (space.cand), a step weighs each ant's
     options only at its node's candidates, (m, width) slices of the same
     weights. An ant none of whose candidates is unvisited hops to its
-    nearest unvisited clear neighbour (lowest lambda * d, ties to the lower
+    nearest unvisited clear neighbour (shortest leg, ties to the lower
     index), and still takes its uniform; with none it strands.
     """
     n, home, cand = space.n, space.home, space.cand
@@ -397,8 +405,11 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                 dead = empty & ~rescue
                 if cand is not None and dead.any():
                     # every candidate visited: the nearest unvisited clear
-                    # neighbour, if there is one
-                    near = np.where(free[dead] > 0.0, space.den[cur[dead]], np.inf)
+                    # neighbour by leg length, if there is one (not by den,
+                    # whose scaled lambda * d underflows to 0 when lambda
+                    # is far below gamma)
+                    at = cur[dead]
+                    near = np.where((free[dead] > 0.0) & space.adj[at], space.dist[at], np.inf)
                     pick = near.argmin(axis=1)
                     hop = np.full(ids.size, -1)
                     hop[dead] = np.where(np.isfinite(near.min(axis=1)), pick, -1)

@@ -166,11 +166,11 @@ def test_solve_on_star_reports_invalid():
     assert run.best_iteration == 0
 
 
-def traced_solve(g, params):
+def traced_solve(g, params, model=MODEL):
     """solve with a trace; returns the run and every trace call's payload,
     trails as bytes so payloads compare with ==."""
     payloads = []
-    run = solve(g, MODEL, params, trace=lambda it, tau, bounds, ants: payloads.append(
+    run = solve(g, model, params, trace=lambda it, tau, bounds, ants: payloads.append(
         (it, tau.tobytes(), bounds, ants)))
     return run, payloads
 
@@ -392,11 +392,15 @@ def test_candidate_rows_past_the_row_table_budget(monkeypatch, beta):
     assert run.best_tour.is_valid and run.best_tour == tour_cost(g, MODEL, run.best_tour.nodes)
 
 
-@pytest.mark.parametrize("variant,graph,seen_hop", [("AS", (40, 8, 0.3), "nearest"),
-                                                    ("MMAS", (60, 9, 0.15), "nearest"),
-                                                    ("AS", (35, 10, 0.08), "stranded")])
+@pytest.mark.parametrize("variant,graph,seen_hop,model", [
+    ("AS", (40, 8, 0.3), "nearest", MODEL),
+    ("MMAS", (60, 9, 0.15), "nearest", MODEL),
+    ("AS", (35, 10, 0.08), "stranded", MODEL),
+    # lambda so far below gamma that the scaled lambda * d is 0 on every edge
+    ("AS", (40, 8, 0.3), "nearest", EnergyModel(1e-320, 1e304)),
+])
 def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeypatch, variant,
-                                                                         graph, seen_hop):
+                                                                         graph, seen_hop, model):
     # every hop goes to an unvisited candidate of the ant's node, or, when
     # every candidate is visited, to its nearest unvisited clear neighbour
     # (ties to the lower index); an ant strands only with none
@@ -404,7 +408,8 @@ def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeyp
     monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 50))
     lists = candidate_lists(g, aco._CANDIDATES)
     hops = {"listed": 0, "nearest": 0, "stranded": 0}
-    _, payloads = traced_solve(g, AcoParams(variant=variant, n_ants=12, n_iterations=8, seed=3))
+    _, payloads = traced_solve(g, AcoParams(variant=variant, n_ants=12, n_iterations=8, seed=3),
+                               model)
     for *_, ants in payloads:
         for nodes, _, complete in ants:
             seen = {g.home}
@@ -433,14 +438,18 @@ def test_row_table_build_stays_within_its_budget(n):
     space = aco._Space(g, MODEL, 3.0)
     assert (space.cand is None) == (n == 80)  # 160 and 400 nodes use candidate lists
     budget = aco._ROW_TABLE_BYTES
-    tracemalloc.start()  # rebuild the space's table, traced
+    tracemalloc.start()  # rebuild the space's candidate lists and table, traced
     try:
+        cand = None if space.cand is None else space.candidates()
+        _, cand_peak = tracemalloc.get_traced_memory()
         row_of, table = space.heading_rows()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert table.nbytes <= budget
     assert peak < 1.5 * table.nbytes
+    assert cand_peak < budget / 16  # the lists are ranked a slice of rows at a time
+    assert np.array_equal(cand, space.cand)
     assert np.array_equal(row_of, space.row_of)
     assert np.array_equal(table, space.table)
     h, i, rows = stored_pairs(space)

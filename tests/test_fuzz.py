@@ -182,6 +182,9 @@ def test_colony_flag_values_past_the_row_table_budget_exit_documented(tmp_path, 
     for drones in ("1", "2"):  # these plan
         cases.append((("mmas", drones), [("--rho", "1e-320")], True))
         cases.append((("as", drones), [("--lambda", "1e-320"), ("--gamma", "1e-320")], True))
+        # lambda * d scaled by gamma's power of two underflows to 0 on every edge
+        for solver in ("as", "mmas"):
+            cases.append(((solver, drones), [("--lambda", "1e-320"), ("--gamma", "1e304")], True))
     for (solver, drones), flags, plans in cases:
         argv = ["plan", REFERENCE_MAP, "--iterations", "2", "--out", out,
                 "--solver", solver, "--drones", drones]

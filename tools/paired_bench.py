@@ -2,11 +2,12 @@
 
     python3 tools/paired_bench.py --parent PARENT_DIR --change CHANGE_DIR \
         --workload field-colony --seeds 1-10 --out BENCH_name.json \
-        [--seconds 30] [--claim field-colony:run_s] [--label name] [--note text]
+        [--claim field-colony:run_s] [--label name] [--note text]
 
 Each checkout is a full tree with its own perfbench/ and src/. For every
 workload and seed this runs `perfbench/run.py --workload W --seed S
---seconds T --trace 0` once in each checkout, one run at a time, and the side
+--seconds T --trace 0` once in each checkout, T the run_seconds of the
+change checkout's BENCHMARK.json, one run at a time, and the side
 that goes first alternates from pair to pair (the parent on the first). The
 output records, per workload and end-to-end metric, each side's median and
 quartiles, the raw runs in pair order, change_lower (pairs in which the
@@ -113,18 +114,19 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=seed_list, required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--claim", help="workload:metric")
     ap.add_argument("--label")
     ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent, "change": args.change}
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
 
     result = json.loads(args.out.read_text()) if args.out.exists() else {}
     result.update({
         "command": f"python3 perfbench/run.py --workload <name> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "machine": f"{platform.machine()}, {platform.python_implementation()} "
                    f"{platform.python_version()}, numpy {importlib.metadata.version('numpy')}, "
                    f"{os.cpu_count()} CPUs, one run at a time",
@@ -137,11 +139,10 @@ def main(argv=None) -> int:
         result["notes"] = args.note
     workloads = result.setdefault("workloads", {})
     for workload in args.workload:
-        workloads[workload] = measure(dirs, workload, args.seeds, args.seconds)
+        workloads[workload] = measure(dirs, workload, args.seeds, seconds)
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     if args.claim:
         workload, metric = args.claim.split(":")
-        spec = json.loads((args.change / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}[metric]
         result["claim"] = claim(result, workload, metric, better)
         print(json.dumps(result["claim"]), file=sys.stderr)
