@@ -27,7 +27,11 @@ its node, its _CANDIDATES nearest clear neighbours (candidate lists, Dorigo
 unvisited clear neighbour when every candidate is visited; the table holds
 the candidate rows of as many pairs as fit and a step computes the others.
 Within each path the budget changes speed and memory, never a tour; a graph
-that crosses it changes path, and so tours.
+that crosses it changes path, and so tours. Each ant picks its option
+against the running sum of its weights, whose last column is the row
+total; a step does extra work only when some ant has no positive total
+(a hop, a strand or a rescue). An infinite weight takes its limit per
+ant, so no ant's choice depends on the others in its batch.
 The closed tours of an iteration are costed together, row by row, with the
 same arithmetic as tour_cost and the energy coefficients held by the
 solve's one _Space. Incomplete walks are costed only while no
@@ -52,8 +56,9 @@ The weights of a step are scaled by powers of two, which is exact and so
 changes no choice: eta by the one that brings the larger energy coefficient
 into [0.5, 1), and the trails, each iteration, by the one that brings the
 largest into [0.5, 1). So eta^beta and tau^alpha stay finite for tiny
-coefficients and huge exponents, and only underflow, which ends in the
-step's uniform rescue.
+coefficients and huge exponents. They can still underflow, which ends in
+the step's uniform rescue, and eta^beta can overflow when lambda is far
+below gamma, which the step takes as the limit.
 
 Randomness is CPython's random.Random (the stdlib Mersenne twister) stream
 of random() values, one per walking ant per step. solve owns its
@@ -284,7 +289,7 @@ def _turns(ux_in, uy_in, ux_out, uy_out) -> np.ndarray:
 def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
     """(1/den)^beta with 0 at den=inf, also for beta == 0. A den of 0 (lambda
     * d underflowed on a straight hop) or a power past the float range gives
-    inf, which the step's rescue takes as the limit."""
+    inf, which the step takes as the limit."""
     if beta == 0.0:
         return np.isfinite(den).astype(float)
     inv = np.zeros_like(den)
@@ -350,11 +355,27 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     into the weights. It shrinks only on a step where an ant strands, which
     is when that ant's walk is copied out.
 
+    An ant picks the first option whose running sum of weights exceeds its
+    uniform times the row total, the running sum's last column. A row whose
+    total is infinite takes the limit: its infinite options weigh 1, the
+    others 0. A row of finite weights whose total overflows, or is so small
+    that the draw rounds up to it, is scaled by a power of two. So each
+    ant's choice depends on its own row alone.
+
     On a graph with candidate lists (space.cand), a step weighs each ant's
     options only at its node's candidates, (m, width) slices of the same
-    weights. An ant none of whose candidates is unvisited hops to its
-    nearest unvisited clear neighbour (shortest leg, ties to the lower
-    index), and still takes its uniform; with none it strands.
+    weights; the trails at the candidates are sliced once per batch. An ant
+    none of whose candidates is unvisited hops to its nearest unvisited
+    clear neighbour (shortest leg, ties to the lower index), and still takes
+    its uniform; with none it strands.
+
+    A step where some row total is 0 or nan repairs the whole batch (the
+    general branch): it zeroes nan weights, an infinite weight on a visited
+    node, and weighs equally the feasible options of a row whose options
+    all underflowed to 0. The candidate step skips it when no total is nan
+    and no ant with a zero total has an unvisited candidate: the visited
+    options then weigh exactly 0, and only the ants with every candidate
+    visited need work, a hop or a strand.
     """
     n, home, cand = space.n, space.home, space.cand
     n_way = home
@@ -367,72 +388,81 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     cur = np.full(m, home)
     prev = np.full(m, -1)
     rows = np.arange(m)  # row numbers of the compacted state
+    if cand is not None:
+        tau_pow = np.take_along_axis(tau_pow, cand, axis=1)  # the trails at each node's options
 
     for step in range(1, n_way + 1):
         w = space.eta_pow_rows(prev, cur)
+        w *= tau_pow.take(cur, axis=0)
         if cand is None:
-            w *= tau_pow.take(cur, axis=0)
             opts = free  # the unvisited mask at each ant's options
         else:
             c = cand.take(cur, axis=0)  # each ant's options
-            w *= tau_pow[cur[:, None], c]
             opts = free[rows[:, None], c]
         w *= opts
-        tot = w.sum(axis=1)
+        csum = np.add.accumulate(w, axis=1)
         hop = None  # with candidate lists: each ant's off-list hop, or -1
-        if not tot.min() > 0.0:
-            # some row has no positive total: a dead end, every option
-            # underflowed to zero, or an infinite weight turned into nan on a
-            # visited or pruned node; zero the visited nodes outright and
-            # look again
-            w[opts == 0.0] = 0.0
-            tot = w.sum(axis=1)
-            big = ~np.isfinite(tot)
-            if big.any():
-                # take the limit: the infinite options weigh 1, the others
-                # (pruned nodes' nan included) 0
-                w[big] = np.isinf(w[big])
-                tot = w.sum(axis=1)
-            empty = tot <= 0.0
-            if empty.any():
+        if not csum[:, -1].min() > 0.0:
+            # some row total is 0 (a dead end, or every option underflowed)
+            # or nan (an infinite weight on a visited node)
+            tot = csum[:, -1]
+            empty = tot == 0.0
+            if cand is None or np.isnan(tot).any() or opts[empty].any():
+                # the general branch, over the whole batch
+                w[np.isnan(w)] = 0.0
+                csum = np.add.accumulate(w, axis=1)
+                empty = csum[:, -1] == 0.0
                 feas = opts > 0.0  # candidates are edges
                 if cand is None:
                     feas &= space.adj[cur]
                 rescue = empty & feas.any(axis=1)
                 if rescue.any():
                     w[rescue] = feas[rescue]  # uniform fallback
-                    tot = w.sum(axis=1)
-                dead = empty & ~rescue
-                if cand is not None and dead.any():
-                    # every candidate visited: the nearest unvisited clear
-                    # neighbour by leg length, if there is one (not by den,
-                    # whose scaled lambda * d underflows to 0 when lambda
-                    # is far below gamma)
-                    at = cur[dead]
-                    near = np.where((free[dead] > 0.0) & space.adj[at], space.dist[at], np.inf)
-                    pick = near.argmin(axis=1)
-                    hop = np.full(ids.size, -1)
-                    hop[dead] = np.where(np.isfinite(near.min(axis=1)), pick, -1)
-                    dead &= hop < 0
-                if dead.any():
-                    paths[ids[dead]] = walk[dead]
-                    lengths[ids[dead]] = step
-                    keep = ~dead
-                    ids, walk, free, cur, prev, w, tot = (
-                        a[keep] for a in (ids, walk, free, cur, prev, w, tot))
-                    if cand is not None:
-                        c, hop = c[keep], hop[keep]
-                    rows = np.arange(ids.size)
-                    if ids.size == 0:
-                        break
-        r = draw(ids.size) * tot
-        csum = np.add.accumulate(w, axis=1)
+                    csum[rescue] = np.add.accumulate(w[rescue], axis=1)
+                    empty &= ~rescue
+            dead = empty  # with candidate lists: every candidate visited
+            if cand is not None and dead.any():
+                # the nearest unvisited clear neighbour by leg length, if
+                # there is one (not by den, whose scaled lambda * d
+                # underflows to 0 when lambda is far below gamma)
+                at = cur[dead]
+                near = np.where((free[dead] > 0.0) & space.adj[at], space.dist[at], np.inf)
+                pick = near.argmin(axis=1)
+                hop = np.full(ids.size, -1)
+                hop[dead] = np.where(np.isfinite(near.min(axis=1)), pick, -1)
+                dead &= hop < 0
+            if dead.any():
+                paths[ids[dead]] = walk[dead]
+                lengths[ids[dead]] = step
+                keep = ~dead
+                ids, walk, free, cur, prev, w, csum = (
+                    a[keep] for a in (ids, walk, free, cur, prev, w, csum))
+                if cand is not None:
+                    c, hop = c[keep], hop[keep]
+                rows = np.arange(ids.size)
+                if ids.size == 0:
+                    break
+        u = draw(ids.size)
+        tot = csum[:, -1]
+        r = u * tot
         pick = (csum > r[:, None]).argmax(axis=1)
-        # guard the rare rounding case r >= csum[-1]: take the last option
-        overshoot = csum[:, -1] <= r
-        if overshoot.any():
-            last = w.shape[1] - 1 - np.argmax(w[:, ::-1] > 0, axis=1)
-            pick = np.where(overshoot, last, pick)
+        fits = tot > r  # u * total < total for every normal total
+        if not fits.all():
+            over = ~fits
+            if hop is not None:
+                over &= hop < 0  # a hopping ant's total is 0
+            if over.any():
+                # a row with an infinite weight takes the limit; one of
+                # finite weights whose total overflowed or is subnormal is
+                # scaled, exactly, to a largest weight in [0.5, 1); the ant
+                # keeps its uniform
+                k = np.nonzero(over)[0]
+                wk = w[k]
+                top = wk.max(axis=1)
+                lim = np.where(np.isinf(top)[:, None], np.isinf(wk),
+                               np.ldexp(wk, -np.frexp(top)[1][:, None]))
+                lsum = np.add.accumulate(lim, axis=1)
+                pick[k] = (lsum > (u[k] * lsum[:, -1])[:, None]).argmax(axis=1)
         nxt = pick if cand is None else c[rows, pick]
         if hop is not None:
             nxt = np.where(hop >= 0, hop, nxt)

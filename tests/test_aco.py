@@ -78,11 +78,11 @@ def test_params_validation():
     assert p.rho == 0.2
 
 
-def construct_tours(g, tau, seed=0, m=1, alpha=1.0, beta=3.0, draw=None):
+def construct_tours(g, tau, seed=0, m=1, alpha=1.0, beta=3.0, draw=None, model=MODEL):
     """Run m ants through _construct_batch the way solve does: one _Space,
     tau^alpha and the block-drawn uniforms of random.Random(seed) (or the
     given draw). Returns each ant's (nodes, closed), in ant order."""
-    space = aco._Space(g, MODEL, beta)
+    space = aco._Space(g, model, beta)
     tau_pow = tau if alpha == 1.0 else np.power(tau, alpha)
     if draw is None:
         draw = aco._Uniforms(random.Random(seed)).take
@@ -256,6 +256,32 @@ def test_golden_tours_on_the_reference_farm(solver, seed):
             h.update(repr((drone.run.best_tour.nodes, drone.run.best_iteration)).encode())
         got.append(h.hexdigest()[:16])
     assert tuple(got) == GOLDEN_TOURS[solver, seed]
+
+
+# (graph, solver) -> digest of every ant's walk in every iteration, the best
+# tour nodes and the iteration that found it, on seeded graphs past the row
+# budget, so on the candidate-list step: 12 ants, 10 iterations, seed 5.
+# Their ants take off-list hops (250-310 a run), strand (100-120 of 120
+# walks) and close tours.
+GOLDEN_CANDIDATE_TOURS = {
+    ((50, 4, 0.4), "AS"): "18f2547358d0c62c",
+    ((50, 4, 0.4), "MMAS"): "2580109fca60b50e",
+    ((60, 2, 0.3), "AS"): "b0e098b8d7fc033b",
+    ((60, 2, 0.3), "MMAS"): "bdb42c62980fd5b7",
+}
+
+
+@pytest.mark.parametrize("graph,solver", sorted(GOLDEN_CANDIDATE_TOURS))
+def test_golden_tours_on_the_candidate_step(monkeypatch, graph, solver):
+    """The candidate-list step maps seeds to the same walks across versions."""
+    g = random_graph(*graph)
+    monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 50))
+    run, payloads = traced_solve(g, AcoParams(variant=solver, n_ants=12, n_iterations=10,
+                                              seed=5))
+    assert run.best_tour.is_valid
+    walks = [[nodes for nodes, _, _ in ants] for *_, ants in payloads]
+    got = hashlib.sha256(repr((walks, run.best_tour.nodes, run.best_iteration)).encode())
+    assert got.hexdigest()[:16] == GOLDEN_CANDIDATE_TOURS[graph, solver]
 
 
 def test_as_deposit_bookkeeping():
@@ -568,6 +594,34 @@ def test_construct_tour_on_infinite_trails_takes_only_unvisited_neighbours():
                                                                seed=7, m=10_000))
     for leaf in (0, 1, 2):
         assert abs(counts[leaf] / 10_000 - 1 / 3) < 0.02
+
+
+def test_an_ants_limit_choice_does_not_depend_on_its_batch():
+    # lambda so small that eta^3 overflows on every straight hop: a row whose
+    # total is infinite takes the limit, its infinite options weighing 1,
+    # whether or not another ant's row holds a nan (an infinite weight on a
+    # visited node), so ant 0, always drawing 0.5, walks the same in any batch
+    g = graph_from([(30.0 * i, 30.0 * j) for j in range(4) for i in range(5)], (-30, 0))
+    tau = np.ones((g.n_nodes, g.n_nodes))
+    rng = np.random.default_rng(1)
+
+    def draw(k):
+        return np.concatenate([[0.5], rng.random(k - 1)])
+
+    walks = [construct_tours(g, tau, m=m, draw=draw, model=EnergyModel(1e-320, 0.0173))[0]
+             for m in (1, 2, 5)]
+    assert walks[0][1] and walks[0] == walks[1] == walks[2]
+
+
+def test_finite_weights_whose_total_overflows_keep_their_proportions():
+    # 1 / (lambda * d) near the top of the float range: the three first-hop
+    # weights are finite but their total overflows, and the ants still pick
+    # in proportion to 1 / d
+    g = graph_from([(30, 0), (0, 60), (-90, 0)], (0, 0))
+    counts = Counter(nodes[1] for nodes, _ in construct_tours(
+        g, np.ones((4, 4)), seed=7, m=10_000, beta=1.0, model=EnergyModel(6.7e-310, 1.0)))
+    for leaf, share in zip((0, 1, 2), (6 / 11, 3 / 11, 2 / 11)):
+        assert abs(counts[leaf] / 10_000 - share) < 0.02
 
 
 @pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (40, 2), (155, 3)])

@@ -1,0 +1,94 @@
+"""tools/paired_bench.py: the spread and the claim it records, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
+
+
+@pytest.fixture
+def bench():
+    spec = importlib.util.spec_from_file_location("paired_bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests=None):
+    """measure() over len(parent) seeds, each run_once replaced by the next
+    value of its side; the change's last run carries correct and failed,
+    and digests, when given, are the change's per pair."""
+    values = {"parent": iter(parent), "change": iter(change)}
+    last = len(change) - 1
+    seen = {"parent": 0, "change": 0}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = checkout.name
+        k = seen[side]
+        seen[side] = k + 1
+        at_last = side == "change" and k == last
+        return {"metrics": {"run_s": next(values[side])},
+                "digest": digests[k] if side == "change" and digests else f"d{seed}",
+                "attempted": 10, "failed": failed if at_last else 0,
+                "correct": correct or not at_last}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    dirs = {side: Path(side) for side in ("parent", "change")}
+    return {"workloads": {"w": bench.measure(dirs, "w", list(range(1, len(parent) + 1)), 1.0)}}
+
+
+def test_spread_gives_median_and_inclusive_quartiles(bench):
+    assert bench.spread([5.0, 1.0, 3.0, 2.0, 4.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_a_clear_gain_on_correct_runs_is_met(bench, monkeypatch):
+    parent = [2.0, 2.1, 2.2, 2.0, 2.1, 2.3, 2.0, 2.2, 2.1, 2.0]
+    result = measured(bench, monkeypatch, parent, [p - 0.3 for p in parent])
+    assert result["workloads"]["w"]["same_tours"]
+    got = bench.claim(result, "w", "run_s", "lower")
+    assert got["met"] and got["correct"] and got["change_better"] == 10
+    assert got["parent_iqr"] == pytest.approx(0.175)  # inclusive quartiles 2.0 and 2.175
+
+
+@pytest.mark.parametrize("correct,failed", [(False, 0), (True, 2)])
+def test_a_claim_counts_only_on_correct_runs(bench, monkeypatch, correct, failed):
+    parent = [2.0 + 0.01 * k for k in range(10)]
+    result = measured(bench, monkeypatch, parent, [p - 0.5 for p in parent],
+                      correct=correct, failed=failed)
+    got = bench.claim(result, "w", "run_s", "lower")
+    assert got["change_better"] == 10 and not got["correct"] and not got["met"]
+
+
+def test_ties_are_not_wins_in_either_direction(bench, monkeypatch):
+    parent = [2.0 + 0.01 * k for k in range(10)]
+    change = [p - 0.5 for p in parent[:8]] + parent[8:]  # two pairs tie
+    result = measured(bench, monkeypatch, parent, change)
+    m = result["workloads"]["w"]["metrics"]["run_s"]
+    assert (m["change_lower"], m["ties"]) == (8, 2)
+    lower = bench.claim(result, "w", "run_s", "lower")
+    assert lower["change_better"] == 8 and not lower["met"]
+    higher = bench.claim(result, "w", "run_s", "higher")
+    assert higher["change_better"] == 0 and not higher["met"]
+
+
+def test_a_higher_is_better_metric_counts_the_pairs_the_change_raised(bench, monkeypatch):
+    parent = [0.90, 0.91, 0.92, 0.90, 0.91, 0.93, 0.90, 0.92, 0.91, 0.90]
+    change = [p + 0.05 for p in parent]
+    result = measured(bench, monkeypatch, parent, change)
+    assert bench.claim(result, "w", "run_s", "higher")["met"]
+    assert not bench.claim(result, "w", "run_s", "lower")["met"]
+    # raised in nine pairs but by less than the parent's IQR in the median
+    small = measured(bench, monkeypatch, parent, [p + 0.001 for p in parent[:9]] + parent[9:])
+    got = bench.claim(small, "w", "run_s", "higher")
+    assert got["change_better"] == 9 and not got["met"]
+
+
+def test_same_tours_compares_every_seeds_digest(bench, monkeypatch):
+    parent = [2.0] * 3
+    same = measured(bench, monkeypatch, parent, parent, digests=["d1", "d2", "d3"])
+    assert same["workloads"]["w"]["same_tours"]
+    moved = measured(bench, monkeypatch, parent, parent, digests=["d1", "x", "d3"])
+    assert not moved["workloads"]["w"]["same_tours"]

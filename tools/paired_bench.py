@@ -11,11 +11,13 @@ change checkout's BENCHMARK.json, one run at a time, and the side
 that goes first alternates from pair to pair (the parent on the first). The
 output records, per workload and end-to-end metric, each side's median and
 quartiles, the raw runs in pair order, change_lower (pairs in which the
-change read lower) and ties, with every run's digest and correctness. With
+change read lower) and ties, with every run's digest and correctness, and
+same_tours (every seed's change digest equals the parent's). With
 --claim W:metric it adds whether the change beat the parent in at least nine
 of ten pairs, in the direction BENCHMARK.json gives, and by more than the
-parent's interquartile range in the median. An existing --out file keeps the
-workloads this run does not measure.
+parent's interquartile range in the median; a claim on a workload with an
+incorrect run or a failed operation is never met. An existing --out file
+keeps the workloads this run does not measure.
 """
 
 from __future__ import annotations
@@ -83,18 +85,25 @@ def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict
             "parent": spread(values["parent"]), "change": spread(values["change"]),
             "parent_runs": values["parent"], "change_runs": values["change"],
             "change_lower": sum(c < p for p, c in pairs), "ties": sum(c == p for p, c in pairs)}
+    digests = {side: dict(zip(seeds, (r["digest"] for r in runs[side]))) for side in SIDES}
     return {
         "seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
         "all_runs_correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "metrics": metrics,
-        "digests": {side: dict(zip(seeds, (r["digest"] for r in runs[side]))) for side in SIDES},
+        "digests": digests,
+        "same_tours": digests["parent"] == digests["change"],
     }
 
 
 def claim(result: dict, workload: str, metric: str, better: str) -> dict:
-    m = result["workloads"][workload]["metrics"][metric]
+    """Whether the change beat the parent on one metric: in at least nine
+    of ten pairs and by more than the parent's interquartile range in the
+    median, with every run of both sides correct and no failed operation."""
+    w = result["workloads"][workload]
+    correct = w["all_runs_correct"] and not any(n for side in SIDES for n in w["failed"][side])
+    m = w["metrics"][metric]
     parent, change = m["parent"], m["change"]
     iqr = parent["q3"] - parent["q1"]
     pairs = len(m["parent_runs"])
@@ -104,8 +113,8 @@ def claim(result: dict, workload: str, metric: str, better: str) -> dict:
         gap = -gap
     return {"workload": workload, "metric": metric, "better": better,
             "parent_median": parent["median"], "change_median": change["median"],
-            "parent_iqr": iqr, "change_better": wins, "pairs": pairs,
-            "met": wins >= 0.9 * pairs and gap > iqr}
+            "parent_iqr": iqr, "change_better": wins, "pairs": pairs, "correct": correct,
+            "met": correct and wins >= 0.9 * pairs and gap > iqr}
 
 
 def main(argv=None) -> int:
