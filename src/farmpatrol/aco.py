@@ -32,11 +32,12 @@ against the running sum of its weights, whose last column is the row
 total; a step does extra work only when some ant has no positive total
 (a hop, a strand or a rescue). An infinite weight takes its limit per
 ant, so no ant's choice depends on the others in its batch.
-The closed tours of an iteration are costed together, row by row, with the
-same arithmetic as tour_cost and the energy coefficients held by the
-solve's one _Space. Incomplete walks are costed only while no
-complete tour has been found (the best of them is returned when none ever
-is) or when solve is traced.
+Every turn the colony weighs is energy.turns of two legs taken from the
+node coordinates, the formula tour_cost charges. The closed tours of an
+iteration are costed together, row by row, with the same arithmetic as
+tour_cost and the energy coefficients held by the solve's one _Space.
+Incomplete walks are costed only while no complete tour has been found (the
+best of them is returned when none ever is) or when solve is traced.
 
 solve polishes complete tours with a best-improvement, turn-aware 2-opt
 (_two_opt; Croes 1958): an iteration's cheapest closed tour whenever it
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, Tour, path_metrics, path_metrics_rows, tour_cost
+from .energy import EnergyModel, Tour, path_metrics, path_metrics_rows, tour_cost, turns
 from .routegraph import RouteGraph, pair_distances
 
 MAX_DEFAULT_ANTS = 50
@@ -107,7 +108,7 @@ class AcoParams:
     def __post_init__(self):
         for name, value in (("seed", self.seed), ("n_iterations", self.n_iterations),
                             ("n_ants", 1 if self.n_ants is None else self.n_ants)):
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {type(value).__name__}")
         if self.variant not in ("AS", "MMAS"):
             raise ValueError(f"unknown variant {self.variant!r}, expected 'AS' or 'MMAS'")
@@ -147,9 +148,9 @@ class SolverRun:
 class _Space:
     """Precomputed arrays for fast construction on one graph + model.
 
-    lam and gamma are the model's coefficients, dist holds the Euclidean
-    length of every node pair, and den = lam * dist (pruned pairs at
-    infinity) and turn_weight = gamma are both scaled by one power of two.
+    lam and gamma are the model's coefficients, and leg_weight and
+    turn_weight the same scaled by one power of two. dist, the length of
+    every node pair, is the only (n, n) float array: turns come from xy.
 
     An ant at node i weighs its options: every node, or, with candidate
     lists, the nodes cand[i] (see candidates). computed_rows(h, i) gives the
@@ -178,16 +179,11 @@ class _Space:
         self.gamma = model.gamma_kj_per_deg
         self.dist = d = pair_distances(g.xy)
         self.edge = g.adj & (d > 0.0)  # the legs a 2-opt move may fly: never zero-length
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ux = np.where(d > 0, (g.xy[None, :, 0] - g.xy[:, None, 0]) / d, 0.0)
-            uy = np.where(d > 0, (g.xy[None, :, 1] - g.xy[:, None, 1]) / d, 0.0)
-        self.ux, self.uy = ux, uy
-        # lambda * d and gamma, scaled by the power of two that brings the
-        # larger coefficient into [0.5, 1): exact, so no step's choice
-        # changes, and eta^beta stays finite however small lambda and gamma
-        # are; lambda * d has pruned pairs at infinity so their weight vanishes
+        # lambda and gamma, scaled by the power of two that brings the larger
+        # into [0.5, 1): exact, so no step's choice changes, and eta^beta
+        # stays finite however small lambda and gamma are
         shift = -math.frexp(max(self.lam, self.gamma))[1]
-        self.den = np.where(g.adj, math.ldexp(self.lam, shift) * d, np.inf)
+        self.leg_weight = math.ldexp(self.lam, shift)
         self.turn_weight = math.ldexp(self.gamma, shift)
         self.cand = None
         if beta is not None:
@@ -255,18 +251,22 @@ class _Space:
         whole, or each row at its candidates."""
         return i if self.cand is None else (i[:, None], self.cand[i])
 
-    def theta_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """(m, width) heading changes at i[k] from heading h[k]->i[k] onto
-        the options of i[k]; zero rows where h[k] < 0 (no history)."""
-        at = self.options(i)
-        out = _turns(self.ux[h, i][:, None], self.uy[h, i][:, None], self.ux[at], self.uy[at])
-        out[h < 0] = 0.0
-        return out
+    def turn(self, a, b, c) -> np.ndarray:
+        """Heading change in degrees at b when flying a -> b -> c, for node
+        index arrays that broadcast together."""
+        x, y = self.xy[:, 0], self.xy[:, 1]
+        xb, yb = x[b], y[b]
+        return turns(xb - x[a], yb - y[a], x[c] - xb, y[c] - yb)
 
     def computed_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """(m, width) values of eta^beta for hops out of i[k] given history h[k]."""
-        return _pow_eta(self.den[self.options(i)] + self.turn_weight * self.theta_rows(h, i),
-                        self.beta)
+        """(m, width) values of eta^beta for hops out of i[k] given history
+        h[k]; no turn where h[k] < 0."""
+        at = self.options(i)
+        to = np.arange(self.n) if self.cand is None else at[1]  # the option nodes
+        theta = self.turn(h[:, None], i[:, None], to)
+        theta[h < 0] = 0.0
+        den = np.where(self.adj[at], self.leg_weight * self.dist[at], np.inf)
+        return _pow_eta(den + self.turn_weight * theta, self.beta)
 
     def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """computed_rows(h, i), read from table; only a table of candidate
@@ -277,13 +277,6 @@ class _Space:
             miss = rows < 0
             out[miss] = self.computed_rows(h[miss], i[miss])
         return out
-
-
-def _turns(ux_in, uy_in, ux_out, uy_out) -> np.ndarray:
-    """Heading change in degrees between unit legs in and out, by the
-    formula of path_metrics."""
-    cross = np.abs(ux_in * uy_out - uy_in * ux_out)
-    return np.degrees(np.arctan2(cross, ux_in * ux_out + uy_in * uy_out))
 
 
 def _pow_eta(den: np.ndarray, beta: float) -> np.ndarray:
@@ -423,7 +416,7 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
             dead = empty  # with candidate lists: every candidate visited
             if cand is not None and dead.any():
                 # the nearest unvisited clear neighbour by leg length, if
-                # there is one (not by den, whose scaled lambda * d
+                # there is one (not by the scaled lambda * d, which
                 # underflows to 0 when lambda is far below gamma)
                 at = cur[dead]
                 near = np.where((free[dead] > 0.0) & space.adj[at], space.dist[at], np.inf)
@@ -524,7 +517,7 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
         if not np.isfinite(hop[nxt]):
             break
         seen[nxt] = True
-        turn = _turns(space.ux[cur, nxt], space.uy[cur, nxt], space.ux[nxt], space.uy[nxt])
+        turn = space.turn(cur, nxt, np.arange(g.n_nodes))
         walk.append(nxt)
     return _walk_cost(space, np.array(walk + [home])) if len(walk) > 1 else 0.0
 
@@ -545,10 +538,8 @@ def _reversal_deltas(space: _Space, t: np.ndarray,
     `below`.
     """
     size = t.size
-    ux, uy = space.ux, space.uy
-    pre, mid, post = t[:-2], t[1:-1], t[2:]  # t[p - 1], t[p], t[p + 1] for p = 1 .. size - 2
     turn = np.zeros(size)  # the old turn at each position
-    turn[1:-1] = _turns(ux[pre, mid], uy[pre, mid], ux[mid, post], uy[mid, post])
+    turn[1:-1] = space.turn(t[:-2], t[1:-1], t[2:])
     leg = space.dist[t[:-1], t[1:]]  # leg p runs from t[p] to t[p + 1]
     # rows are i, columns j: the new legs are t[i-1] -> t[j] and t[i] -> t[j+1],
     # blocks of one gather over the walk's node pairs
@@ -562,10 +553,8 @@ def _reversal_deltas(space: _Space, t: np.ndarray,
     i, j = rows + 1, cols + 1
     a, b, c, e = t[i - 1], t[i], t[j], t[j + 1]  # the new legs are a -> c and b -> e
     before, after = t[np.maximum(i - 2, 0)], t[np.minimum(j + 2, size - 1)]
-    new = (np.where(i >= 2, _turns(ux[before, a], uy[before, a], ux[a, c], uy[a, c]), 0.0)
-           + _turns(ux[a, c], uy[a, c], ux[c, t[j - 1]], uy[c, t[j - 1]])
-           + _turns(ux[t[i + 1], b], uy[t[i + 1], b], ux[b, e], uy[b, e])
-           + np.where(j <= size - 3, _turns(ux[b, e], uy[b, e], ux[e, after], uy[e, after]), 0.0))
+    new = (np.where(i >= 2, space.turn(before, a, c), 0.0) + space.turn(a, c, t[j - 1])
+           + space.turn(t[i + 1], b, e) + np.where(j <= size - 3, space.turn(b, e, after), 0.0))
     return i, j, lower[rows, cols] + space.gamma * new
 
 

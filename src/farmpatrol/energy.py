@@ -73,10 +73,20 @@ def path_metrics_rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(legs == 0.0):
         raise ValueError("polyline repeats a vertex; turn angle undefined")
     u, v = d[:, :-1], d[:, 1:]
-    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-    turn = np.degrees(np.arctan2(np.abs(cross), dot)).sum(axis=1)
+    turn = turns(u[..., 0], u[..., 1], v[..., 0], v[..., 1]).sum(axis=1)
     return legs.sum(axis=1), turn
+
+
+def turns(ux, uy, vx, vy) -> np.ndarray:
+    """Heading change in degrees, within [0, 180], from leg (ux, uy) onto
+    leg (vx, vy), element-wise over arrays of leg components that broadcast.
+
+    The legs need not be unit vectors. A turn onto or off a zero-length leg
+    is meaningless: callers never weigh one.
+    """
+    cross = ux * vy - uy * vx
+    dot = ux * vx + uy * vy
+    return np.degrees(np.arctan2(np.abs(cross), dot))
 
 
 def tour_cost(g: RouteGraph, model: EnergyModel, nodes, allow_revisits: bool = False) -> Tour:

@@ -86,7 +86,7 @@ class BenchConfig:
     aco: AcoParams = field(default_factory=lambda: AcoParams(seed=DEFAULT_SEED))
 
     def __post_init__(self):
-        if not isinstance(self.n_trials, int):
+        if not isinstance(self.n_trials, int) or isinstance(self.n_trials, bool):
             raise ValueError(f"n_trials must be an int, got {type(self.n_trials).__name__}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")

@@ -12,9 +12,9 @@ from farmpatrol import aco
 from farmpatrol.aco import (
     AcoParams, nearest_neighbour_cost, solve,
 )
-from farmpatrol.energy import EnergyModel, tour_cost
+from farmpatrol.energy import EnergyModel, heuristic, tour_cost
 from farmpatrol.fleet import plan_fleet
-from farmpatrol.geometry import Point2D
+from farmpatrol.geometry import Point2D, turn_angle_deg
 from farmpatrol.routegraph import RouteGraph, build_graph
 from farmpatrol.world import FarmMap, generate_waypoints, reference_farm
 
@@ -68,12 +68,13 @@ def test_params_validation():
         AcoParams(n_iterations=0)
     with pytest.raises(ValueError):
         AcoParams(beta=-1)
-    for seed in (np.int64(3), 1.5):  # random.Random would hash or reject these
+    for seed in (np.int64(3), 1.5, True):  # random.Random would hash or reject these
         with pytest.raises(ValueError, match="seed"):
             AcoParams(seed=seed)
     for name in ("n_ants", "n_iterations"):  # range() would raise TypeError in solve
-        with pytest.raises(ValueError, match=name):
-            AcoParams(**{name: 2.5})
+        for value in (2.5, True):  # a bool reaches _construct_batch as a bool
+            with pytest.raises(ValueError, match=name):
+                AcoParams(**{name: value})
     p = AcoParams(variant="MMAS", rho=0.2)
     assert p.rho == 0.2
 
@@ -392,6 +393,29 @@ def test_stored_heading_rows_equal_computed_rows(beta):
                           space.computed_rows(h, i).view(np.uint64))
 
 
+@pytest.mark.parametrize("listed", [False, True])
+@pytest.mark.parametrize("beta", [1.0, 2.5, 3.0])
+def test_computed_rows_follow_the_scalar_heuristic(monkeypatch, beta, listed):
+    # each row is heuristic(d, turn) ** beta over the options of i, scaled by
+    # one constant factor (the power of two of the coefficients), and 0 at a
+    # pruned option; full rows, or candidate rows past the budget
+    g = random_graph(30, 7, keep=0.6)
+    if listed:
+        monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 40))
+    space = aco._Space(g, MODEL, beta)
+    assert (space.cand is not None) == listed
+    pts = [Point2D(*p) for p in g.xy.tolist()]
+    pairs = arrival_pairs(g)
+    got = space.computed_rows(*np.array(pairs).T)
+    for (h, i), row in zip(pairs, got):
+        to = space.cand[i].tolist() if listed else range(g.n_nodes)
+        want = np.array([heuristic(MODEL, math.dist(g.xy[i], g.xy[j]),
+                                   0.0 if h < 0 else turn_angle_deg(pts[h], pts[i], pts[j])) ** beta
+                         if g.adj[i, j] else 0.0 for j in to])
+        assert np.all(row[want == 0.0] == 0.0)
+        np.testing.assert_allclose(row / row.max(), want / want.max(), rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5, 3.0])
 def test_candidate_rows_past_the_row_table_budget(monkeypatch, beta):
     # a graph whose full rows do not fit the budget uses candidate lists, and
@@ -461,8 +485,15 @@ def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeyp
 @pytest.mark.parametrize("n", [80, 160, 400])
 def test_row_table_build_stays_within_its_budget(n):
     g = random_graph(n, 3)
-    space = aco._Space(g, MODEL, 3.0)
+    tracemalloc.start()  # the bytes a built space holds
+    try:
+        space = aco._Space(g, MODEL, 3.0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (space.cand is None) == (n == 80)  # 160 and 400 nodes use candidate lists
+    kept = (space.dist, space.edge, space.row_of, space.table, space.cand)
+    assert held <= sum(0 if a is None else a.nbytes for a in kept) + 64 * n  # no other n x n
     budget = aco._ROW_TABLE_BYTES
     tracemalloc.start()  # rebuild the space's candidate lists and table, traced
     try:

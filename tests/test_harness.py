@@ -143,3 +143,5 @@ def test_bench_config_validation():
         BenchConfig(n_trials=0)
     with pytest.raises(ValueError, match="n_trials"):
         BenchConfig(n_trials=1.5)  # range() would raise TypeError in run_benchmark
+    with pytest.raises(ValueError, match="n_trials"):
+        BenchConfig(n_trials=True)

@@ -92,3 +92,20 @@ def test_same_tours_compares_every_seeds_digest(bench, monkeypatch):
     assert same["workloads"]["w"]["same_tours"]
     moved = measured(bench, monkeypatch, parent, parent, digests=["d1", "x", "d3"])
     assert not moved["workloads"]["w"]["same_tours"]
+
+
+@pytest.mark.parametrize("better,within,past", [("lower", 1.15, 1.25), ("higher", 0.85, 0.75)])
+def test_a_median_worse_by_more_than_its_bound_regresses(bench, monkeypatch, better, within,
+                                                         past):
+    parent = [2.0 + 0.01 * k for k in range(10)]
+    spec = {"end_to_end": [{"name": "run_s", "better": better, "bound": 0.2}]}
+    result = {"workloads": {
+        name: measured(bench, monkeypatch, parent, [factor * p for p in parent])["workloads"]["w"]
+        for name, factor in (("within", within), ("past", past))}}
+    bench.regressions(result, spec)
+    assert not result["workloads"]["within"]["metrics"]["run_s"]["regressed"]
+    assert result["workloads"]["past"]["metrics"]["run_s"]["regressed"]
+    assert not result["no_regression"]
+    del result["workloads"]["past"]
+    bench.regressions(result, spec)
+    assert result["no_regression"]

@@ -12,7 +12,11 @@ that goes first alternates from pair to pair (the parent on the first). The
 output records, per workload and end-to-end metric, each side's median and
 quartiles, the raw runs in pair order, change_lower (pairs in which the
 change read lower) and ties, with every run's digest and correctness, and
-same_tours (every seed's change digest equals the parent's). With
+same_tours (every seed's change digest equals the parent's). Every run
+also records, per workload and end-to-end metric, regressed: the change's
+median is worse than the parent's by more than the metric's BENCHMARK.json
+bound, a share of the parent's median, in the metric's better direction;
+and no_regression: no metric regressed on any workload. With
 --claim W:metric it adds whether the change beat the parent in at least nine
 of ten pairs, in the direction BENCHMARK.json gives, and by more than the
 parent's interquartile range in the median; a claim on a workload with an
@@ -117,6 +121,21 @@ def claim(result: dict, workload: str, metric: str, better: str) -> dict:
             "met": correct and wins >= 0.9 * pairs and gap > iqr}
 
 
+def regressions(result: dict, spec: dict) -> None:
+    """Set regressed on every end-to-end metric of every workload in result,
+    from the bounds and directions of spec (BENCHMARK.json), and
+    no_regression on result."""
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
+    for w in result["workloads"].values():
+        for name, m in w["metrics"].items():
+            if name in end_to_end:
+                parent, change = m["parent"]["median"], m["change"]["median"]
+                worse = change - parent if end_to_end[name]["better"] == "lower" else parent - change
+                m["regressed"] = worse > end_to_end[name]["bound"] * parent
+    result["no_regression"] = not any(m.get("regressed") for w in result["workloads"].values()
+                                      for m in w["metrics"].values())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -155,6 +174,8 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}[metric]
         result["claim"] = claim(result, workload, metric, better)
         print(json.dumps(result["claim"]), file=sys.stderr)
+    regressions(result, spec)
+    print(f"no_regression: {result['no_regression']}", file=sys.stderr)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
