@@ -72,7 +72,7 @@ def test_params_validation():
         with pytest.raises(ValueError, match="seed"):
             AcoParams(seed=seed)
     for name in ("n_ants", "n_iterations"):  # range() would raise TypeError in solve
-        for value in (2.5, True):  # a bool reaches _construct_batch as a bool
+        for value in (2.5, True):  # bool is an int subclass, but no count
             with pytest.raises(ValueError, match=name):
                 AcoParams(**{name: value})
     p = AcoParams(variant="MMAS", rho=0.2)
