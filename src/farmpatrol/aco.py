@@ -45,13 +45,18 @@ beats the best polished tour so far (local search on improvements, as in
 MMAS+LS, Stützle & Hoos 2000), and after the last iteration the colony's
 own best if it never was. A move reverses positions i..j: it swaps two legs
 for two new ones, which must be graph edges, and changes at most four
-turns, none at home. One numpy pass scores every legal move from the
-solve's _Space (_reversal_deltas), measuring new turns only where a lower
-bound can still improve. The best move is recosted exactly and kept only if
-that cost is strictly lower, so the pass ends. The colony itself never sees
-a polished tour: it keeps its own best for the MMAS deposit and trail
-bounds, so the polish changes no walk, trail or trace payload, only the
-result, which costs at most the polish of the colony's final best.
+turns, none at home. A pass scores only the moves whose new leg out of
+position i - 1 runs to one of that node's candidates, its _CANDIDATES
+nearest clear neighbours (neighbour lists, Bentley 1992; Johnson & McGeoch
+1997), found through each node's position in the walk: at most _CANDIDATES
+moves per position, not every pair of positions. One numpy pass scores
+them from the solve's _Space (_reversal_deltas), measuring new turns only
+where a lower bound can still improve. The best move is recosted exactly
+and kept only if that cost is strictly lower, so the pass ends. The colony
+itself never sees a polished tour: it keeps its own best for the MMAS
+deposit and trail bounds, so the polish changes no walk, trail or trace
+payload, only the result, which costs at most the polish of the colony's
+final best.
 
 The weights of a step are scaled by powers of two, which is exact and so
 changes no choice: eta by the one that brings the larger energy coefficient
@@ -152,19 +157,21 @@ class _Space:
     turn_weight the same scaled by one power of two. dist, the length of
     every node pair, is the only (n, n) float array: turns come from xy.
 
-    An ant at node i weighs its options: every node, or, with candidate
-    lists, the nodes cand[i] (see candidates). computed_rows(h, i) gives the
-    (m, width) eta^beta values over the options of i[k] for an ant that
-    arrived from h[k] (h = -1: no heading yet). An ant only arrives over an
-    edge, so the rows a step can read are those of the pairs (h, i) with
-    adj[h, i], plus (-1, home); eta_pow_rows reads them from table, where
-    row_of[h, i] is the pair's row. When every pair's full row fits
-    _ROW_TABLE_BYTES, as on the reference farm and the halves of a
-    600 x 350 m field, cand is None and table holds them all. Otherwise
-    the ants use candidate lists, and table holds the candidate rows of as
-    many pairs as fit, the pairs an ant reaches by choosing a candidate
-    first (heading_rows); a step computes the rows of the others. With
-    beta None no table is built (nearest_neighbour_cost reads none).
+    cand, each node's candidate list (see candidates), is built on every
+    graph: the 2-opt polish scores its moves from it. An ant at node i
+    weighs its options: every node, or, when listed, only the nodes
+    cand[i]. computed_rows(h, i) gives the (m, width) eta^beta values over
+    the options of i[k] for an ant that arrived from h[k] (h = -1: no
+    heading yet). An ant only arrives over an edge, so the rows a step can
+    read are those of the pairs (h, i) with adj[h, i], plus (-1, home);
+    eta_pow_rows reads them from table, where row_of[h, i] is the pair's
+    row. When every pair's full row fits _ROW_TABLE_BYTES, as on the
+    reference farm and the halves of a 600 x 350 m field, listed is False
+    and table holds them all. Otherwise the ants use candidate lists, and
+    table holds the candidate rows of as many pairs as fit, the pairs an
+    ant reaches by choosing a candidate first (heading_rows); a step
+    computes the rows of the others. With beta None no table is built
+    (nearest_neighbour_cost reads none).
     """
 
     def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None):
@@ -185,11 +192,15 @@ class _Space:
         shift = -math.frexp(max(self.lam, self.gamma))[1]
         self.leg_weight = math.ldexp(self.lam, shift)
         self.turn_weight = math.ldexp(self.gamma, shift)
-        self.cand = None
+        self.cand = self.candidates()
+        # whether the ants weigh only their node's candidates: the full rows
+        # of every arrival pair do not fit the budget
+        self.listed = False
         if beta is not None:
-            if (1 + int(g.adj.sum())) * 8 * self.n > _ROW_TABLE_BYTES:
-                self.cand = self.candidates()
+            pairs = 1 + int(g.adj.sum())
+            self.listed = pairs * 8 * self.n > _ROW_TABLE_BYTES
             self.row_of, self.table = self.heading_rows()
+            self.every_pair = len(self.table) == pairs  # then no step misses the table
 
     def candidates(self) -> np.ndarray:
         """(n, width) candidate lists, width = min(_CANDIDATES, n): each
@@ -216,22 +227,24 @@ class _Space:
         _ROW_TABLE_BYTES, (-1, home) first, then node h by node h the pairs
         (h, i); with candidate lists, those with i a candidate of h, the
         pairs an ant reaches by choosing a candidate, before the others.
-        Built a slice of about size / 64 pairs at a time, so the build's
-        peak stays near the table's size plus row_of, an (n + 1) x n int32
-        map."""
+        The pairs are laid out a slice of about size / 64 at a time, and a
+        candidate table is filled slice by slice, so the build's peak stays
+        near the table's size plus row_of, an (n + 1) x n int32 map. A full
+        table, which holds every pair, is filled node i by node i: i's
+        out-legs are formed once for all its arrival pairs, and its rows
+        are weighed only at its edges (they are 0 elsewhere)."""
         n = self.n
-        if self.cand is None:
+        if not self.listed:
             width, groups = n, (self.adj,)
         else:
             width = self.cand.shape[1]
-            listed = np.zeros((n, n), dtype=bool)
-            listed[np.arange(n)[:, None], self.cand] = True
-            groups = (self.adj & listed, self.adj & ~listed)
+            on_list = np.zeros((n, n), dtype=bool)
+            on_list[np.arange(n)[:, None], self.cand] = True
+            groups = (self.adj & on_list, self.adj & ~on_list)
         size = min(1 + int(self.adj.sum()), _ROW_TABLE_BYTES // (8 * width))
         row_of = np.full((n + 1, n), -1, dtype=np.int32)
-        table = np.empty((size, width))
+        table = np.zeros((size, width))
         row_of[-1, self.home] = 0
-        table[0] = self.computed_rows(np.array([-1]), np.array([self.home]))
         filled = 1
         per = max(1, size // 64)
         for group in groups:
@@ -242,14 +255,21 @@ class _Space:
                 h, i = np.nonzero(group[a:b])
                 h, i = h[:size - filled] + a, i[:size - filled]
                 row_of[h, i] = np.arange(filled, filled + h.size)
-                table[filled:filled + h.size] = self.computed_rows(h, i)
+                if self.listed:
+                    table[filled:filled + h.size] = self.computed_rows(h, i)
                 filled += h.size
+        if self.listed:
+            table[0] = self.computed_rows(np.array([-1]), np.array([self.home]))
+            return row_of, table
+        at, h = np.nonzero(row_of.T >= 0)  # the pairs (h, at), node by node
+        rows = row_of[h, at][:, None]
+        h[h == n] = -1  # row n of row_of is h = -1
+        ends = np.searchsorted(at, np.arange(n + 1))
+        for i in range(n):
+            k = slice(ends[i], ends[i + 1])
+            to = np.flatnonzero(self.adj[i])
+            table[rows[k], to] = self.eta_pow(h[k], i, to)
         return row_of, table
-
-    def options(self, i: np.ndarray):
-        """Index of the options out of nodes i in an (n, n) array: rows i
-        whole, or each row at its candidates."""
-        return i if self.cand is None else (i[:, None], self.cand[i])
 
     def turn(self, a, b, c) -> np.ndarray:
         """Heading change in degrees at b when flying a -> b -> c, for node
@@ -261,11 +281,16 @@ class _Space:
     def computed_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
         """(m, width) values of eta^beta for hops out of i[k] given history
         h[k]; no turn where h[k] < 0."""
-        at = self.options(i)
-        to = np.arange(self.n) if self.cand is None else at[1]  # the option nodes
-        theta = self.turn(h[:, None], i[:, None], to)
+        to = self.cand[i] if self.listed else np.arange(self.n)  # the option nodes
+        return self.eta_pow(h, i[:, None], to)
+
+    def eta_pow(self, h: np.ndarray, i, to) -> np.ndarray:
+        """(len(h), width) eta^beta of the hops i -> to for ants that arrived
+        at i from h (h < 0: no turn), with i and to node indices that
+        broadcast to that shape; 0 where the hop is no edge."""
+        theta = self.turn(h[:, None], i, to)
         theta[h < 0] = 0.0
-        den = np.where(self.adj[at], self.leg_weight * self.dist[at], np.inf)
+        den = np.where(self.adj[i, to], self.leg_weight * self.dist[i, to], np.inf)
         return _pow_eta(den + self.turn_weight * theta, self.beta)
 
     def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -273,7 +298,7 @@ class _Space:
         rows can miss a pair, whose row is computed."""
         rows = self.row_of[h, i]
         out = self.table.take(rows, axis=0)
-        if self.cand is not None and rows.min() < 0:
+        if not self.every_pair and rows.min() < 0:
             miss = rows < 0
             out[miss] = self.computed_rows(h[miss], i[miss])
         return out
@@ -368,9 +393,10 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     all underflowed to 0. The candidate step skips it when no total is nan
     and no ant with a zero total has an unvisited candidate: the visited
     options then weigh exactly 0, and only the ants with every candidate
-    visited need work, a hop or a strand.
+    visited need work, a hop or a strand. A hop touches only the rows of
+    the ants that hop: their nodes replace their picks.
     """
-    n, home, cand = space.n, space.home, space.cand
+    n, home, cand, listed = space.n, space.home, space.cand, space.listed
     n_way = home
     paths = np.empty((m, n_way + 2), dtype=np.int64)
     lengths = np.full(m, n_way + 1)
@@ -381,32 +407,32 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     cur = np.full(m, home)
     prev = np.full(m, -1)
     rows = np.arange(m)  # row numbers of the compacted state
-    if cand is not None:
+    if listed:
         tau_pow = np.take_along_axis(tau_pow, cand, axis=1)  # the trails at each node's options
 
     for step in range(1, n_way + 1):
         w = space.eta_pow_rows(prev, cur)
         w *= tau_pow.take(cur, axis=0)
-        if cand is None:
-            opts = free  # the unvisited mask at each ant's options
-        else:
+        if listed:
             c = cand.take(cur, axis=0)  # each ant's options
             opts = free[rows[:, None], c]
+        else:
+            opts = free  # the unvisited mask at each ant's options
         w *= opts
         csum = np.add.accumulate(w, axis=1)
-        hop = None  # with candidate lists: each ant's off-list hop, or -1
-        if not csum[:, -1].min() > 0.0:
+        low = csum[:, -1].min()  # nan when any total is
+        hop = None  # with candidate lists: (rows, nodes) of the ants that hop off their lists
+        if not low > 0.0:
             # some row total is 0 (a dead end, or every option underflowed)
             # or nan (an infinite weight on a visited node)
-            tot = csum[:, -1]
-            empty = tot == 0.0
-            if cand is None or np.isnan(tot).any() or opts[empty].any():
+            empty = csum[:, -1] == 0.0
+            if not listed or np.isnan(low) or opts[empty].any():
                 # the general branch, over the whole batch
                 w[np.isnan(w)] = 0.0
                 csum = np.add.accumulate(w, axis=1)
                 empty = csum[:, -1] == 0.0
                 feas = opts > 0.0  # candidates are edges
-                if cand is None:
+                if not listed:
                     feas &= space.adj[cur]
                 rescue = empty & feas.any(axis=1)
                 if rescue.any():
@@ -414,24 +440,30 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                     csum[rescue] = np.add.accumulate(w[rescue], axis=1)
                     empty &= ~rescue
             dead = empty  # with candidate lists: every candidate visited
-            if cand is not None and dead.any():
+            if listed and dead.any():
                 # the nearest unvisited clear neighbour by leg length, if
                 # there is one (not by the scaled lambda * d, which
                 # underflows to 0 when lambda is far below gamma)
-                at = cur[dead]
-                near = np.where((free[dead] > 0.0) & space.adj[at], space.dist[at], np.inf)
-                pick = near.argmin(axis=1)
-                hop = np.full(ids.size, -1)
-                hop[dead] = np.where(np.isfinite(near.min(axis=1)), pick, -1)
-                dead &= hop < 0
+                k = np.flatnonzero(dead)
+                at = cur[k]
+                near = np.where((free[k] > 0.0) & space.adj[at], space.dist[at], np.inf)
+                to = near.argmin(axis=1)
+                found = near[np.arange(k.size), to] < np.inf
+                hop = k[found], to[found]
+                dead[hop[0]] = False
+                # a hopping ant's total is 0: at 1 its draw fits, and the hop
+                # replaces its pick
+                csum[hop[0], -1] = 1.0
             if dead.any():
                 paths[ids[dead]] = walk[dead]
                 lengths[ids[dead]] = step
                 keep = ~dead
                 ids, walk, free, cur, prev, w, csum = (
                     a[keep] for a in (ids, walk, free, cur, prev, w, csum))
-                if cand is not None:
-                    c, hop = c[keep], hop[keep]
+                if listed:
+                    c = c[keep]
+                    if hop is not None:
+                        hop = np.cumsum(keep)[hop[0]] - 1, hop[1]  # the rows once compacted
                 rows = np.arange(ids.size)
                 if ids.size == 0:
                     break
@@ -441,24 +473,20 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
         pick = (csum > r[:, None]).argmax(axis=1)
         fits = tot > r  # u * total < total for every normal total
         if not fits.all():
-            over = ~fits
-            if hop is not None:
-                over &= hop < 0  # a hopping ant's total is 0
-            if over.any():
-                # a row with an infinite weight takes the limit; one of
-                # finite weights whose total overflowed or is subnormal is
-                # scaled, exactly, to a largest weight in [0.5, 1); the ant
-                # keeps its uniform
-                k = np.nonzero(over)[0]
-                wk = w[k]
-                top = wk.max(axis=1)
-                lim = np.where(np.isinf(top)[:, None], np.isinf(wk),
-                               np.ldexp(wk, -np.frexp(top)[1][:, None]))
-                lsum = np.add.accumulate(lim, axis=1)
-                pick[k] = (lsum > (u[k] * lsum[:, -1])[:, None]).argmax(axis=1)
-        nxt = pick if cand is None else c[rows, pick]
+            # a row with an infinite weight takes the limit; one of finite
+            # weights whose total overflowed or is subnormal is scaled,
+            # exactly, to a largest weight in [0.5, 1); the ant keeps its
+            # uniform
+            k = np.nonzero(~fits)[0]
+            wk = w[k]
+            top = wk.max(axis=1)
+            lim = np.where(np.isinf(top)[:, None], np.isinf(wk),
+                           np.ldexp(wk, -np.frexp(top)[1][:, None]))
+            lsum = np.add.accumulate(lim, axis=1)
+            pick[k] = (lsum > (u[k] * lsum[:, -1])[:, None]).argmax(axis=1)
+        nxt = c[rows, pick] if listed else pick
         if hop is not None:
-            nxt = np.where(hop >= 0, hop, nxt)
+            nxt[hop[0]] = hop[1]
         free[rows, nxt] = 0.0
         walk[:, step] = nxt
         prev, cur = cur, nxt
@@ -525,8 +553,9 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
 def _reversal_deltas(space: _Space, t: np.ndarray,
                      below: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cost change of reversing positions i..j of the closed walk t, for
-    every legal move (1 <= i < j <= len(t) - 2) whose lower bound is below
-    `below`. Returns the arrays (i, j, delta).
+    every legal move (1 <= i < j <= len(t) - 2) with t[j] a candidate of
+    t[i-1] (space.cand: neighbour lists, Bentley 1992) whose lower bound is
+    below `below`. Returns the arrays (i, j, delta), ordered by i, then j.
 
     The move replaces legs (t[i-1], t[i]) and (t[j], t[j+1]) with
     (t[i-1], t[j]) and (t[i], t[j+1]); it is legal when both are edges
@@ -535,27 +564,28 @@ def _reversal_deltas(space: _Space, t: np.ndarray,
     is the same read backwards. New turns are >= 0, so
     lam * (change in length) - gamma * (old turns) bounds the change from
     below, and the new turns are measured only where that bound is below
-    `below`.
+    `below`. A pass scores at most (len(t) - 2) * _CANDIDATES moves.
     """
     size = t.size
     turn = np.zeros(size)  # the old turn at each position
     turn[1:-1] = space.turn(t[:-2], t[1:-1], t[2:])
     leg = space.dist[t[:-1], t[1:]]  # leg p runs from t[p] to t[p + 1]
-    # rows are i, columns j: the new legs are t[i-1] -> t[j] and t[i] -> t[j+1],
-    # blocks of one gather over the walk's node pairs
-    pairs = np.ix_(t, t)
-    edge, dist = space.edge[pairs], space.dist[pairs]
-    legal = np.triu(edge[:-2, 1:-1] & edge[1:-1, 2:], 1)
-    old_turns = (turn[:-2] + turn[1:-1])[:, None] + (turn[1:-1] + turn[2:])[None, :]
-    lower = (space.lam * (dist[:-2, 1:-1] + dist[1:-1, 2:] - leg[:-1, None] - leg[None, 1:])
-             - space.gamma * old_turns)
-    rows, cols = np.nonzero(legal & (lower < below))
-    i, j = rows + 1, cols + 1
+    pos = np.full(space.n, -1)  # each node's position in the walk, home at 0
+    pos[t[:-1]] = np.arange(size - 1)
+    # row i - 1: the positions of t[i-1]'s candidates, of which those past i
+    # give the moves (i, j); a list's padding, t[i-1] itself, never does
+    at = np.sort(pos[space.cand[t[:-3]]], axis=1)
+    rows, cols = np.nonzero(at > np.arange(1, size - 2)[:, None])
+    i, j = rows + 1, at[rows, cols]
     a, b, c, e = t[i - 1], t[i], t[j], t[j + 1]  # the new legs are a -> c and b -> e
+    lower = (space.lam * (space.dist[a, c] + space.dist[b, e] - leg[i - 1] - leg[j])
+             - space.gamma * ((turn[i - 1] + turn[i]) + (turn[j] + turn[j + 1])))
+    k = np.flatnonzero(space.edge[a, c] & space.edge[b, e] & (lower < below))
+    i, j, a, b, c, e = i[k], j[k], a[k], b[k], c[k], e[k]
     before, after = t[np.maximum(i - 2, 0)], t[np.minimum(j + 2, size - 1)]
     new = (np.where(i >= 2, space.turn(before, a, c), 0.0) + space.turn(a, c, t[j - 1])
            + space.turn(t[i + 1], b, e) + np.where(j <= size - 3, space.turn(b, e, after), 0.0))
-    return i, j, lower[rows, cols] + space.gamma * new
+    return i, j, lower[k] + space.gamma * new
 
 
 def _two_opt(space: _Space, t: np.ndarray, cost: float) -> tuple[np.ndarray, float]:

@@ -238,8 +238,8 @@ def test_best_iteration_found_the_best_tour(variant):
 GOLDEN_TOURS = {
     ("AS", 42): ("8cc55e0890d38e49", "5b59fb81df9efbb7"),
     ("AS", 43): ("e72372694464e67b", "a5f06d951b5a020c"),
-    ("MMAS", 42): ("65f33eadf19c2d84", "a3d45b8a9626855a"),
-    ("MMAS", 43): ("3b0dd625e5312b0a", "56eeace3474b03e5"),
+    ("MMAS", 42): ("8be91d98ce5ae5f6", "a3d45b8a9626855a"),
+    ("MMAS", 43): ("961ed5035170d67d", "56eeace3474b03e5"),
 }
 
 
@@ -259,16 +259,18 @@ def test_golden_tours_on_the_reference_farm(solver, seed):
     assert tuple(got) == GOLDEN_TOURS[solver, seed]
 
 
-# (graph, solver) -> digest of every ant's walk in every iteration, the best
-# tour nodes and the iteration that found it, on seeded graphs past the row
-# budget, so on the candidate-list step: 12 ants, 10 iterations, seed 5.
-# Their ants take off-list hops (250-310 a run), strand (100-120 of 120
-# walks) and close tours.
+# (graph, solver) -> digests of every ant's walk in every iteration, and of
+# those walks with the best tour nodes and the iteration that found it, on
+# seeded graphs past the row budget, so on the candidate-list step: 12 ants,
+# 10 iterations, seed 5. Their ants take off-list hops (250-310 a run),
+# strand (100-120 of 120 walks) and close tours. The walks are those of the
+# step before its off-list hop handled only the hopping ants; the polish,
+# which changes the result, never changes a walk.
 GOLDEN_CANDIDATE_TOURS = {
-    ((50, 4, 0.4), "AS"): "18f2547358d0c62c",
-    ((50, 4, 0.4), "MMAS"): "2580109fca60b50e",
-    ((60, 2, 0.3), "AS"): "b0e098b8d7fc033b",
-    ((60, 2, 0.3), "MMAS"): "bdb42c62980fd5b7",
+    ((50, 4, 0.4), "AS"): ("e66e981b0ba50ce2", "c3ee436edc043bc4"),
+    ((50, 4, 0.4), "MMAS"): ("76abd23803fe2524", "5d881c981e972bfc"),
+    ((60, 2, 0.3), "AS"): ("2b3584fdbe7b436f", "480ac7984506d08f"),
+    ((60, 2, 0.3), "MMAS"): ("6f7ef78f5679b9c6", "cdeb9cf7b0eccd12"),
 }
 
 
@@ -281,8 +283,9 @@ def test_golden_tours_on_the_candidate_step(monkeypatch, graph, solver):
                                               seed=5))
     assert run.best_tour.is_valid
     walks = [[nodes for nodes, _, _ in ants] for *_, ants in payloads]
-    got = hashlib.sha256(repr((walks, run.best_tour.nodes, run.best_iteration)).encode())
-    assert got.hexdigest()[:16] == GOLDEN_CANDIDATE_TOURS[graph, solver]
+    got = tuple(hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+                for x in (walks, (walks, run.best_tour.nodes, run.best_iteration)))
+    assert got == GOLDEN_CANDIDATE_TOURS[graph, solver]
 
 
 def test_as_deposit_bookkeeping():
@@ -382,7 +385,7 @@ def budget_for(g, rows):
 def test_stored_heading_rows_equal_computed_rows(beta):
     g = random_graph(40, 6)
     space = aco._Space(g, MODEL, beta)
-    assert space.cand is None
+    assert not space.listed
     h, i, rows = stored_pairs(space)
     assert sorted(zip(h.tolist(), i.tolist())) == sorted(arrival_pairs(g))  # all fit
     assert np.array_equal(np.sort(rows), np.arange(space.table.shape[0]))
@@ -403,7 +406,7 @@ def test_computed_rows_follow_the_scalar_heuristic(monkeypatch, beta, listed):
     if listed:
         monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 40))
     space = aco._Space(g, MODEL, beta)
-    assert (space.cand is not None) == listed
+    assert space.listed == listed
     pts = [Point2D(*p) for p in g.xy.tolist()]
     pairs = arrival_pairs(g)
     got = space.computed_rows(*np.array(pairs).T)
@@ -424,7 +427,9 @@ def test_candidate_rows_past_the_row_table_budget(monkeypatch, beta):
     full = aco._Space(g, MODEL, beta)
     monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 40))
     space = aco._Space(g, MODEL, beta)
-    assert full.cand is None and space.cand.tolist() == candidate_lists(g, aco._CANDIDATES)
+    assert not full.listed and space.listed
+    # the lists are built on every graph, whichever step the ants take
+    assert full.cand.tolist() == space.cand.tolist() == candidate_lists(g, aco._CANDIDATES)
     h, i, rows = stored_pairs(space)
     assert np.array_equal(np.sort(rows), np.arange(40))
     listed = [(a, b) for a, b in zip(h.tolist(), i.tolist()) if a < 0 or b in space.cand[a]]
@@ -448,6 +453,9 @@ def test_candidate_rows_past_the_row_table_budget(monkeypatch, beta):
     ("AS", (35, 10, 0.08), "stranded", MODEL),
     # lambda so far below gamma that the scaled lambda * d is 0 on every edge
     ("AS", (40, 8, 0.3), "nearest", EnergyModel(1e-320, 1e304)),
+    # one step where an ant strands before another one hops, so the hop
+    # follows its ant when the stranded row leaves the batch
+    ("MMAS", (40, 8, 0.3), "hop after a strand", MODEL),
 ])
 def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeypatch, variant,
                                                                          graph, seen_hop, model):
@@ -457,13 +465,14 @@ def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeyp
     g = random_graph(*graph)
     monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 50))
     lists = candidate_lists(g, aco._CANDIDATES)
-    hops = {"listed": 0, "nearest": 0, "stranded": 0}
+    hops = {"listed": 0, "nearest": 0, "stranded": 0, "hop after a strand": 0}
     _, payloads = traced_solve(g, AcoParams(variant=variant, n_ants=12, n_iterations=8, seed=3),
                                model)
     for *_, ants in payloads:
-        for nodes, _, complete in ants:
+        steps = {}  # step -> ([ants that hop off their lists], [ants that strand])
+        for ant, (nodes, _, complete) in enumerate(ants):
             seen = {g.home}
-            for a, b in zip(nodes, nodes[1:len(nodes) - complete]):
+            for step, (a, b) in enumerate(zip(nodes, nodes[1:len(nodes) - complete]), 1):
                 open_listed = [c for c in lists[a] if c not in seen]
                 if open_listed:
                     assert b in open_listed
@@ -473,12 +482,16 @@ def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeyp
                                if g.adj[a, c] and c not in seen)
                     assert b == near[1]
                     hops["nearest"] += 1
+                    steps.setdefault(step, ([], []))[0].append(ant)
                 seen.add(b)
             if not complete:
                 assert len(nodes) < g.n_nodes
                 assert not any(g.adj[nodes[-1], c] for c in range(g.n_waypoints)
                                if c not in seen)
                 hops["stranded"] += 1
+                steps.setdefault(len(nodes), ([], []))[1].append(ant)
+        hops["hop after a strand"] += sum(bool(hop) and bool(strand) and min(strand) < max(hop)
+                                          for hop, strand in steps.values())
     assert hops["listed"] and hops[seen_hop]
 
 
@@ -491,13 +504,13 @@ def test_row_table_build_stays_within_its_budget(n):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (space.cand is None) == (n == 80)  # 160 and 400 nodes use candidate lists
+    assert space.listed == (n != 80)  # 160 and 400 nodes use candidate lists
     kept = (space.dist, space.edge, space.row_of, space.table, space.cand)
-    assert held <= sum(0 if a is None else a.nbytes for a in kept) + 64 * n  # no other n x n
+    assert held <= sum(a.nbytes for a in kept) + 64 * n  # no other n x n
     budget = aco._ROW_TABLE_BYTES
     tracemalloc.start()  # rebuild the space's candidate lists and table, traced
     try:
-        cand = None if space.cand is None else space.candidates()
+        cand = space.candidates()
         _, cand_peak = tracemalloc.get_traced_memory()
         row_of, table = space.heading_rows()
         _, peak = tracemalloc.get_traced_memory()
@@ -760,36 +773,54 @@ def reversed_run(t, i, j):
 
 
 def test_reversal_deltas_match_a_recost_from_scratch():
-    # every legal reversal of random walks on seeded pruned graphs, its delta
-    # against the oracle's cost of the reversed walk from scratch
+    # every legal reversal whose new leg out of t[i-1] runs to one of that
+    # node's candidates (neighbour lists), on random walks of seeded pruned
+    # graphs, its delta against the oracle's cost of the reversed walk from
+    # scratch
     rng = random.Random(21)
     lam, gam = MODEL.lambda_kj_per_m, MODEL.gamma_kj_per_deg
     checked, ends, neighbours = 0, 0, 0
     for seed in range(8):
         g = random_graph(rng.randint(20, 45), 30 + seed)
         space = aco._Space(g, MODEL)
-        order = list(range(g.n_waypoints))
-        rng.shuffle(order)
-        t = [g.home] + order + [g.home]
-        last = len(t) - 2
-        i, j, delta = aco._reversal_deltas(space, np.array(t), math.inf)
-        moves = list(zip(i.tolist(), j.tolist()))
-        assert set(moves) == {(a, b) for a in range(1, last + 1) for b in range(a + 1, last + 1)
-                              if g.adj[t[a - 1], t[b]] and g.adj[t[a], t[b + 1]]}
-        old = oracles.polyline_cost(g.xy[t].tolist(), lam, gam)
-        for (a, b), d in zip(moves, delta.tolist()):
-            new = oracles.polyline_cost(g.xy[reversed_run(t, a, b)].tolist(), lam, gam)
-            assert d == pytest.approx(new - old, rel=1e-9), (seed, a, b)
-        checked += len(moves)
-        ends += (1, last) in moves
-        neighbours += sum(b == a + 1 for a, b in moves)
-        # the bound only drops moves that cannot improve, and changes no delta
-        i0, j0, d0 = aco._reversal_deltas(space, np.array(t))
-        improving = {m: d for m, d in zip(moves, delta.tolist()) if d < 0.0}
-        pruned = dict(zip(zip(i0.tolist(), j0.tolist()), d0.tolist()))
-        assert improving.items() <= pruned.items()
-        assert len(pruned) < len(moves)
+        lists = candidate_lists(g, aco._CANDIDATES)
+        for _ in range(3):
+            order = list(range(g.n_waypoints))
+            rng.shuffle(order)
+            t = [g.home] + order + [g.home]
+            last = len(t) - 2
+            i, j, delta = aco._reversal_deltas(space, np.array(t), math.inf)
+            moves = list(zip(i.tolist(), j.tolist()))
+            assert moves == sorted(moves) == sorted(
+                (a, b) for a in range(1, last + 1) for b in range(a + 1, last + 1)
+                if t[b] in lists[t[a - 1]] and g.adj[t[a - 1], t[b]] and g.adj[t[a], t[b + 1]])
+            old = oracles.polyline_cost(g.xy[t].tolist(), lam, gam)
+            for (a, b), d in zip(moves, delta.tolist()):
+                new = oracles.polyline_cost(g.xy[reversed_run(t, a, b)].tolist(), lam, gam)
+                assert d == pytest.approx(new - old, rel=1e-9), (seed, a, b)
+            checked += len(moves)
+            ends += (1, last) in moves
+            neighbours += sum(b == a + 1 for a, b in moves)
+            # the bound only drops moves that cannot improve, and changes no delta
+            i0, j0, d0 = aco._reversal_deltas(space, np.array(t))
+            improving = {m: d for m, d in zip(moves, delta.tolist()) if d < 0.0}
+            pruned = dict(zip(zip(i0.tolist(), j0.tolist()), d0.tolist()))
+            assert improving.items() <= pruned.items()
+            assert len(pruned) < len(moves)
     assert checked >= 1000 and ends and neighbours
+
+
+def test_a_polish_pass_scores_at_most_k_moves_per_position():
+    # a 21 x 21 grid flown in a seeded random order: a full scan would score
+    # every legal pair of positions, about len(t)^2 / 2 = 97 000 moves here
+    grid = [(30.0 * x, 30.0 * y) for y in range(21) for x in range(21)]
+    g = graph_from(grid, (-30.0, -30.0))
+    order = list(range(g.n_waypoints))
+    random.Random(3).shuffle(order)
+    t = np.array([g.home] + order + [g.home])
+    i, j, delta = aco._reversal_deltas(aco._Space(g, MODEL), t, math.inf)
+    assert 0 < i.size <= (len(t) - 2) * aco._CANDIDATES
+    assert delta.min() < 0.0
 
 
 def test_polish_keeps_a_valid_tour_no_dearer_than_the_colony_best(monkeypatch):
