@@ -444,12 +444,12 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                 # the nearest unvisited clear neighbour by leg length, if
                 # there is one (not by the scaled lambda * d, which
                 # underflows to 0 when lambda is far below gamma)
-                k = np.flatnonzero(dead)
-                at = cur[k]
-                near = np.where((free[k] > 0.0) & space.adj[at], space.dist[at], np.inf)
-                to = near.argmin(axis=1)
-                found = near[np.arange(k.size), to] < np.inf
-                hop = k[found], to[found]
+                k = dead.nonzero()[0]
+                at = cur.take(k)
+                near = np.where((free.take(k, axis=0) > 0.0) & space.adj.take(at, axis=0),
+                                space.dist.take(at, axis=0), np.inf)
+                found = near.min(axis=1) < np.inf
+                hop = k[found], near.argmin(axis=1)[found]
                 dead[hop[0]] = False
                 # a hopping ant's total is 0: at 1 its draw fits, and the hop
                 # replaces its pick
