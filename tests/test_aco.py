@@ -263,9 +263,9 @@ def test_golden_tours_on_the_reference_farm(solver, seed):
 # those walks with the best tour nodes and the iteration that found it, on
 # seeded graphs past the row budget, so on the candidate-list step: 12 ants,
 # 10 iterations, seed 5. Their ants take off-list hops (250-310 a run),
-# strand (100-120 of 120 walks) and close tours. The walks are those of the
-# step before its off-list hop handled only the hopping ants; the polish,
-# which changes the result, never changes a walk.
+# strand (100-120 of 120 walks) and close tours. The walk digest stands
+# alone because the 2-opt polish, which changes the result, never changes a
+# walk.
 GOLDEN_CANDIDATE_TOURS = {
     ((50, 4, 0.4), "AS"): ("e66e981b0ba50ce2", "c3ee436edc043bc4"),
     ((50, 4, 0.4), "MMAS"): ("76abd23803fe2524", "5d881c981e972bfc"),
