@@ -268,7 +268,7 @@ class _Space:
         for i in range(n):
             k = slice(ends[i], ends[i + 1])
             to = np.flatnonzero(self.adj[i])
-            table[rows[k], to] = self.eta_pow(h[k], i, to)
+            table[rows[k], to] = self.eta_beta(h[k], i, to)
         return row_of, table
 
     def turn(self, a, b, c) -> np.ndarray:
@@ -282,9 +282,9 @@ class _Space:
         """(m, width) values of eta^beta for hops out of i[k] given history
         h[k]; no turn where h[k] < 0."""
         to = self.cand[i] if self.listed else np.arange(self.n)  # the option nodes
-        return self.eta_pow(h, i[:, None], to)
+        return self.eta_beta(h, i[:, None], to)
 
-    def eta_pow(self, h: np.ndarray, i, to) -> np.ndarray:
+    def eta_beta(self, h: np.ndarray, i, to) -> np.ndarray:
         """(len(h), width) eta^beta of the hops i -> to for ants that arrived
         at i from h (h < 0: no turn), with i and to node indices that
         broadcast to that shape; 0 where the hop is no edge."""
