@@ -156,22 +156,22 @@ class _Space:
     lam and gamma are the model's coefficients, and leg_weight and
     turn_weight the same scaled by one power of two. dist, the length of
     every node pair, is the only (n, n) float array: turns come from xy.
+    adj, the graph's, masks every leg a tour may fly (RouteGraph).
 
     cand, each node's candidate list (see candidates), is built on every
     graph: the 2-opt polish scores its moves from it. An ant at node i
     weighs its options: every node, or, when listed, only the nodes
-    cand[i]. computed_rows(h, i) gives the (m, width) eta^beta values over
-    the options of i[k] for an ant that arrived from h[k] (h = -1: no
-    heading yet). An ant only arrives over an edge, so the rows a step can
-    read are those of the pairs (h, i) with adj[h, i], plus (-1, home);
-    eta_pow_rows reads them from table, where row_of[h, i] is the pair's
-    row. When every pair's full row fits _ROW_TABLE_BYTES, as on the
-    reference farm and the halves of a 600 x 350 m field, listed is False
-    and table holds them all. Otherwise the ants use candidate lists, and
-    table holds the candidate rows of as many pairs as fit, the pairs an
-    ant reaches by choosing a candidate first (heading_rows); a step
-    computes the rows of the others. With beta None no table is built
-    (nearest_neighbour_cost reads none).
+    cand[i]. computed_rows(h, i), the only code that writes a row, gives
+    the (m, width) eta^beta values over the options of i[k] for an ant that
+    arrived from h[k] (h = -1: no heading yet). An ant only arrives over an
+    edge, so a step reads the rows of the pairs (h, i) with adj[h, i], plus
+    (-1, home), from table, where row_of[h, i] is the pair's row
+    (eta_pow_rows). When every pair's full row fits _ROW_TABLE_BYTES, as on
+    the reference farm and the halves of a 600 x 350 m field, listed is
+    False and table holds them all. Otherwise the ants use candidate lists,
+    and table holds the candidate rows of as many pairs as fit, those an
+    ant reaches by choosing a candidate first; a step computes the others.
+    With beta None no table is built (nearest_neighbour_cost reads none).
     """
 
     def __init__(self, g: RouteGraph, model: EnergyModel, beta: float | None = None):
@@ -184,8 +184,7 @@ class _Space:
         self.beta = beta
         self.lam = model.lambda_kj_per_m
         self.gamma = model.gamma_kj_per_deg
-        self.dist = d = pair_distances(g.xy)
-        self.edge = g.adj & (d > 0.0)  # the legs a 2-opt move may fly: never zero-length
+        self.dist = pair_distances(g.xy)
         # lambda and gamma, scaled by the power of two that brings the larger
         # into [0.5, 1): exact, so no step's choice changes, and eta^beta
         # stays finite however small lambda and gamma are
@@ -193,28 +192,27 @@ class _Space:
         self.leg_weight = math.ldexp(self.lam, shift)
         self.turn_weight = math.ldexp(self.gamma, shift)
         self.cand = self.candidates()
+        pairs = 1 + int(g.adj.sum())
         # whether the ants weigh only their node's candidates: the full rows
         # of every arrival pair do not fit the budget
-        self.listed = False
+        self.listed = beta is not None and pairs * 8 * self.n > _ROW_TABLE_BYTES
         if beta is not None:
-            pairs = 1 + int(g.adj.sum())
-            self.listed = pairs * 8 * self.n > _ROW_TABLE_BYTES
             self.row_of, self.table = self.heading_rows()
             self.every_pair = len(self.table) == pairs  # then no step misses the table
 
     def candidates(self) -> np.ndarray:
         """(n, width) candidate lists, width = min(_CANDIDATES, n): each
-        node's nearest clear neighbours by leg length, home and zero-length
-        legs left out and ties to the lower index, in ascending node order.
-        A node with fewer such neighbours pads its list with itself, which
-        an ant never picks: it is visited and has no leg to itself. Ranked
-        a slice of rows at a time, so the build's temporaries stay within
-        _ROW_TABLE_BYTES / 64 at any graph size."""
+        node's nearest clear neighbours by leg length, home left out and ties
+        to the lower index, in ascending node order. A node with fewer such
+        neighbours pads its list with itself, which an ant never picks: it
+        is visited and has no leg to itself. Ranked a slice of rows at a
+        time, so the build's temporaries stay within _ROW_TABLE_BYTES / 64
+        at any graph size."""
         n = self.n
         cand = np.empty((n, min(_CANDIDATES, n)), dtype=np.int64)
         per = max(1, _ROW_TABLE_BYTES // 64 // (16 * n))  # a float and an index per pair
         for a in range(0, n, per):
-            legs = np.where(self.edge[a:a + per], self.dist[a:a + per], np.inf)
+            legs = np.where(self.adj[a:a + per], self.dist[a:a + per], np.inf)
             legs[:, self.home] = np.inf
             near = np.argsort(legs, axis=1, kind="stable")[:, :_CANDIDATES]
             clear = np.isfinite(np.take_along_axis(legs, near, axis=1))
@@ -227,12 +225,9 @@ class _Space:
         _ROW_TABLE_BYTES, (-1, home) first, then node h by node h the pairs
         (h, i); with candidate lists, those with i a candidate of h, the
         pairs an ant reaches by choosing a candidate, before the others.
-        The pairs are laid out a slice of about size / 64 at a time, and a
-        candidate table is filled slice by slice, so the build's peak stays
-        near the table's size plus row_of, an (n + 1) x n int32 map. A full
-        table, which holds every pair, is filled node i by node i: i's
-        out-legs are formed once for all its arrival pairs, and its rows
-        are weighed only at its edges (they are 0 elsewhere)."""
+        Built through computed_rows a slice of about size / 64 pairs at a
+        time, so the build's peak stays near the table's size plus row_of,
+        an (n + 1) x n int32 map."""
         n = self.n
         if not self.listed:
             width, groups = n, (self.adj,)
@@ -243,8 +238,9 @@ class _Space:
             groups = (self.adj & on_list, self.adj & ~on_list)
         size = min(1 + int(self.adj.sum()), _ROW_TABLE_BYTES // (8 * width))
         row_of = np.full((n + 1, n), -1, dtype=np.int32)
-        table = np.zeros((size, width))
+        table = np.empty((size, width))
         row_of[-1, self.home] = 0
+        table[0] = self.computed_rows(np.array([-1]), np.array([self.home]))
         filled = 1
         per = max(1, size // 64)
         for group in groups:
@@ -255,20 +251,8 @@ class _Space:
                 h, i = np.nonzero(group[a:b])
                 h, i = h[:size - filled] + a, i[:size - filled]
                 row_of[h, i] = np.arange(filled, filled + h.size)
-                if self.listed:
-                    table[filled:filled + h.size] = self.computed_rows(h, i)
+                table[filled:filled + h.size] = self.computed_rows(h, i)
                 filled += h.size
-        if self.listed:
-            table[0] = self.computed_rows(np.array([-1]), np.array([self.home]))
-            return row_of, table
-        at, h = np.nonzero(row_of.T >= 0)  # the pairs (h, at), node by node
-        rows = row_of[h, at][:, None]
-        h[h == n] = -1  # row n of row_of is h = -1
-        ends = np.searchsorted(at, np.arange(n + 1))
-        for i in range(n):
-            k = slice(ends[i], ends[i + 1])
-            to = np.flatnonzero(self.adj[i])
-            table[rows[k], to] = self.eta_beta(h[k], i, to)
         return row_of, table
 
     def turn(self, a, b, c) -> np.ndarray:
@@ -279,18 +263,18 @@ class _Space:
         return turns(xb - x[a], yb - y[a], x[c] - xb, y[c] - yb)
 
     def computed_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """(m, width) values of eta^beta for hops out of i[k] given history
-        h[k]; no turn where h[k] < 0."""
-        to = self.cand[i] if self.listed else np.arange(self.n)  # the option nodes
-        return self.eta_beta(h, i[:, None], to)
-
-    def eta_beta(self, h: np.ndarray, i, to) -> np.ndarray:
-        """(len(h), width) eta^beta of the hops i -> to for ants that arrived
-        at i from h (h < 0: no turn), with i and to node indices that
-        broadcast to that shape; 0 where the hop is no edge."""
-        theta = self.turn(h[:, None], i, to)
+        """(m, width) values of eta^beta for hops out of i[k] to its options
+        given history h[k]; no turn where h[k] < 0, and 0 where the hop is
+        no edge."""
+        if self.listed:
+            to = self.cand[i]  # the option nodes
+            edge, leg = self.adj[i[:, None], to], self.dist[i[:, None], to]
+        else:
+            to = np.arange(self.n)
+            edge, leg = self.adj.take(i, axis=0), self.dist.take(i, axis=0)
+        theta = self.turn(h[:, None], i[:, None], to)
         theta[h < 0] = 0.0
-        den = np.where(self.adj[i, to], self.leg_weight * self.dist[i, to], np.inf)
+        den = np.where(edge, self.leg_weight * leg, np.inf)
         return _pow_eta(den + self.turn_weight * theta, self.beta)
 
     def eta_pow_rows(self, h: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -559,7 +543,7 @@ def _reversal_deltas(space: _Space, t: np.ndarray,
 
     The move replaces legs (t[i-1], t[i]) and (t[j], t[j+1]) with
     (t[i-1], t[j]) and (t[i], t[j+1]); it is legal when both are edges
-    (space.edge[a, b]). It changes the turns at t[i-1], t[i], t[j] and t[j+1]
+    (space.adj[a, b]). It changes the turns at t[i-1], t[i], t[j] and t[j+1]
     only, none at home (positions 0 and len(t) - 1): a turn inside the run
     is the same read backwards. New turns are >= 0, so
     lam * (change in length) - gamma * (old turns) bounds the change from
@@ -580,7 +564,7 @@ def _reversal_deltas(space: _Space, t: np.ndarray,
     a, b, c, e = t[i - 1], t[i], t[j], t[j + 1]  # the new legs are a -> c and b -> e
     lower = (space.lam * (space.dist[a, c] + space.dist[b, e] - leg[i - 1] - leg[j])
              - space.gamma * ((turn[i - 1] + turn[i]) + (turn[j] + turn[j + 1])))
-    k = np.flatnonzero(space.edge[a, c] & space.edge[b, e] & (lower < below))
+    k = np.flatnonzero(space.adj[a, c] & space.adj[b, e] & (lower < below))
     i, j, a, b, c, e = i[k], j[k], a[k], b[k], c[k], e[k]
     before, after = t[np.maximum(i - 2, 0)], t[np.minimum(j + 2, size - 1)]
     new = (np.where(i >= 2, space.turn(before, a, c), 0.0) + space.turn(a, c, t[j - 1])
@@ -678,6 +662,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     fallback_nodes: tuple[int, ...] | None = None  # best incomplete walk
     fallback_cost = math.inf
     history = []
+    tau_pow = np.empty_like(tau)  # tau^alpha, rewritten in place each iteration
 
     for it in range(params.n_iterations):
         # the power of two that brings the largest trail into [0.5, 1): exact,
@@ -685,9 +670,9 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         # overflowed (a tiny q or rho) take the limit, 1 where infinite, else 0
         top = float(tau.max())
         if math.isinf(top):
-            tau_pow = np.isinf(tau).astype(float)
+            np.isinf(tau, out=tau_pow, casting="unsafe")
         else:
-            tau_pow = np.ldexp(tau, -math.frexp(top)[1])
+            np.ldexp(tau, -math.frexp(top)[1], out=tau_pow)
         if params.alpha != 1.0:
             np.power(tau_pow, params.alpha, out=tau_pow)
         paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, draw)

@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 schema violation, 3 connectivity failure,
 4 planning failure, 1 anything else (a file that cannot be read or written,
-a bad flag or GUARD_SEED value, or an energy scale that overflows on the map:
-one "error: ..." line on stderr). When --seed / --base-seed is omitted the
-GUARD_SEED environment variable is used, then 42.
+a bad flag or GUARD_SEED value, an energy scale that overflows on the map or
+ants too many to allocate: one "error: ..." line on stderr). When --seed /
+--base-seed is omitted the GUARD_SEED environment variable is used, then 42.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except PlanningError as exc:
         print(f"planning error: {exc}", file=sys.stderr)
         return 4
-    except (OSError, ValueError) as exc:  # a file I/O failure, a bad flag or GUARD_SEED, ...
+    except (OSError, ValueError, MemoryError) as exc:  # a file I/O failure, a bad flag, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

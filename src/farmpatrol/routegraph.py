@@ -29,9 +29,23 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class RouteGraph:
+    """One drone's flight graph. No edge joins two nodes at one point, compared
+    by value (-0.0 equals 0.0): the constructor raises ValueError naming them."""
+
     xy: np.ndarray                     # (n, 2) node coordinates, metres
     adj: np.ndarray                    # (n, n) bool, symmetric, False diagonal
     waypoint_grid_ids: tuple[int, ...]  # node i < home -> index into the WaypointSet
+
+    def __post_init__(self):
+        # sorted by value, the nodes at one point lie side by side
+        order = np.lexsort(self.xy.T[::-1])
+        same = (self.xy[order[1:]] == self.xy[order[:-1]]).all(axis=1)
+        nodes = np.sort(order[np.append(same, False) | np.append(False, same)])  # shared points
+        at = self.xy[nodes]
+        hit = np.argwhere(self.adj[np.ix_(nodes, nodes)] & (at[:, None] == at).all(axis=2))
+        if hit.size:
+            a, b = nodes[hit[0]].tolist()
+            raise ValueError(f"nodes {a} and {b} at {self.xy[a].tolist()} share an edge")
 
     @property
     def n_nodes(self) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -505,7 +506,7 @@ def test_row_table_build_stays_within_its_budget(n):
     finally:
         tracemalloc.stop()
     assert space.listed == (n != 80)  # 160 and 400 nodes use candidate lists
-    kept = (space.dist, space.edge, space.row_of, space.table, space.cand)
+    kept = (space.dist, space.row_of, space.table, space.cand)
     assert held <= sum(a.nbytes for a in kept) + 64 * n  # no other n x n
     budget = aco._ROW_TABLE_BYTES
     tracemalloc.start()  # rebuild the space's candidate lists and table, traced
@@ -529,6 +530,31 @@ def test_row_table_build_stays_within_its_budget(n):
         # every pair reached by choosing a candidate is kept
         listed = g.adj[np.arange(n)[:, None], space.cand]
         assert (row_of[:n][np.arange(n)[:, None], space.cand][listed] >= 0).all()
+
+
+def test_a_thousand_node_solve_stays_within_its_memory_and_cpu_budget():
+    # the table holds 65 536 candidate rows, fewer than the graph's arrival
+    # pairs, so the ants also read rows computed per step
+    g = random_graph(1000, 5, keep=0.3)
+    n = g.n_nodes
+    assert 1 + g.adj.sum() > aco._ROW_TABLE_BYTES // (8 * aco._CANDIDATES)
+    tracemalloc.start()
+    try:
+        cpu = time.process_time()
+        run = solve(g, MODEL, AcoParams(variant="MMAS", n_ants=8, n_iterations=2))
+        cpu = time.process_time() - cpu
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = (8 * n * n      # dist
+            + 8 * n * n    # tau
+            + 8 * n * n    # the iteration's tau^alpha
+            + 4 * (n + 1) * n  # row_of
+            + n * n)       # adj
+    transient = 16 * n * n  # pair_distances' (n, n, 2) coordinate differences
+    assert peak < held + transient + aco._ROW_TABLE_BYTES
+    assert cpu < 10.0
+    assert len(run.best_cost_history) == 2
 
 
 def test_pow_eta_at_beta_one_is_the_reciprocal():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,35 @@ def test_extreme_colony_weights_plan_a_valid_tour(tmp_path, capsys, flags):
     assert main(["plan", REFERENCE_MAP, "--out", str(out), *flags]) == 0
     assert capsys.readouterr().err == ""
     assert json.loads(out.read_text())["valid"] is True
+
+
+@pytest.mark.parametrize("command", ["plan", "bench"])
+def test_an_ant_count_too_large_to_allocate_is_one_error_line(tmp_path, capsys, command):
+    # the ants' walks would take 277 PiB, past any 64-bit address space, so
+    # the allocation is refused before a page is touched
+    out = ["--out", str(tmp_path / "tour.json")] if command == "plan" \
+        else ["--out-dir", str(tmp_path / "bench"), "--trials", "1"]
+    assert main([command, REFERENCE_MAP, "--ants", "1000000000000000", "--iterations", "1",
+                 *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "tour.json").exists()
+
+
+def test_a_plan_never_loads_numpy_random(tmp_path):
+    # numpy.random adds about 6 MB to a plan's memory; other tests load it
+    # into this process, so the plan runs in a fresh interpreter
+    src = str(Path(farmpatrol.cli.__file__).parents[1])
+    argv = ["plan", REFERENCE_MAP, "--iterations", "2", "--out", str(tmp_path / "tour.json")]
+    script = ("import sys\nfrom farmpatrol.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_plan_with_the_station_on_a_waypoint(tmp_path, capsys):

@@ -109,3 +109,27 @@ def test_a_median_worse_by_more_than_its_bound_regresses(bench, monkeypatch, bet
     del result["workloads"]["past"]
     bench.regressions(result, spec)
     assert result["no_regression"]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_spread_wider_than_the_bound_is_unresolved(bench, monkeypatch, better):
+    # parent quartiles 1.8 and 2.2 about a median of 2.0: an IQR of 0.4, wider
+    # than the 0.1 x 2.0 bound
+    parent = [1.6, 1.8, 1.8, 1.8, 2.0, 2.0, 2.2, 2.2, 2.2, 2.4]
+    spec = {"end_to_end": [{"name": "run_s", "better": better, "bound": 0.1}]}
+    sign = 1 if better == "lower" else -1
+    narrow = [2.0 + 0.001 * k for k in range(10)]
+    cases = {  # name: (parent runs, change runs)
+        "same": (parent, parent),
+        "better in every run": (parent, [2.0 - sign * 1.0] * 10),
+        "narrow": (narrow, narrow),
+    }
+    result = {"workloads": {
+        name: measured(bench, monkeypatch, p, c)["workloads"]["w"]
+        for name, (p, c) in cases.items()}}
+    bench.regressions(result, spec)
+    got = {name: w["metrics"]["run_s"] for name, w in result["workloads"].items()}
+    assert got["same"]["unresolved"] and not got["same"]["regressed"]
+    assert not got["better in every run"]["unresolved"]
+    assert not got["narrow"]["unresolved"]  # parent IQR 0.0045 < 0.1 x 2.0045
+    assert result["no_regression"]  # unresolved is not regressed

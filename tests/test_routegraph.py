@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from farmpatrol.fleet import plan_fleet
 from farmpatrol.geometry import Circle, Point2D, Rect, Segment2D, min_clearance
-from farmpatrol.routegraph import (DisconnectedGraphError, build_graph, pair_distances,
-                                  shortest_detour)
+from farmpatrol.routegraph import (DisconnectedGraphError, RouteGraph, build_graph,
+                                  pair_distances, shortest_detour)
 from farmpatrol.world import FarmMap, generate_waypoints
 
 
@@ -154,6 +155,23 @@ def test_coincident_station_gets_no_zero_edge():
     assert not g.adj[0, g.home]
     # still connected through the other waypoints
     assert len(shortest_detour(g, g.home, 0)) == 3
+
+
+@pytest.mark.parametrize("xy,pair,message", [
+    ([(0, 0), (5, 5), (0, 0)], (0, 2), "nodes 0 and 2 at [0.0, 0.0] share an edge"),
+    # equal by value, not by bytes
+    ([(-0.0, 3), (5, 5), (0.0, 3)], (2, 0), "nodes 0 and 2 at [-0.0, 3.0] share"),
+    ([(4, 4), (4, -0.0), (5, 5), (4, 4), (4, 0.0)], (4, 1), "nodes 1 and 4 at [4.0, -0.0] share"),
+])
+def test_an_edge_between_coincident_nodes_is_rejected(xy, pair, message):
+    xy = np.array(xy, dtype=float)
+    n = len(xy)
+    adj = pair_distances(xy) > 0.0  # an edge between every two distinct points
+    RouteGraph(xy, adj, tuple(range(n - 1)))  # coincident nodes with no edge build
+    a, b = pair
+    adj[a, b] = adj[b, a] = True
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RouteGraph(xy, adj, tuple(range(n - 1)))
 
 
 def test_graph_arrays_are_immutable():

@@ -16,7 +16,9 @@ same_tours (every seed's change digest equals the parent's). Every run
 also records, per workload and end-to-end metric, regressed: the change's
 median is worse than the parent's by more than the metric's BENCHMARK.json
 bound, a share of the parent's median, in the metric's better direction;
-and no_regression: no metric regressed on any workload. With
+unresolved: the parent's interquartile range is wider than that bound times
+its median, and not every change run is better than every parent run; and
+no_regression: no metric regressed on any workload. With
 --claim W:metric it adds whether the change beat the parent in at least nine
 of ten pairs, in the direction BENCHMARK.json gives, and by more than the
 parent's interquartile range in the median; a claim on a workload with an
@@ -122,16 +124,24 @@ def claim(result: dict, workload: str, metric: str, better: str) -> dict:
 
 
 def regressions(result: dict, spec: dict) -> None:
-    """Set regressed on every end-to-end metric of every workload in result,
-    from the bounds and directions of spec (BENCHMARK.json), and
-    no_regression on result."""
+    """Set regressed and unresolved on every end-to-end metric of every
+    workload in result, from the bounds and directions of spec
+    (BENCHMARK.json), and no_regression on result. A metric is unresolved
+    when the parent's interquartile range is wider than the bound times the
+    parent's median, unless every change run is better than every parent
+    run: its spread hides a change the size of the bound."""
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     for w in result["workloads"].values():
         for name, m in w["metrics"].items():
             if name in end_to_end:
-                parent, change = m["parent"]["median"], m["change"]["median"]
-                worse = change - parent if end_to_end[name]["better"] == "lower" else parent - change
-                m["regressed"] = worse > end_to_end[name]["bound"] * parent
+                bound = end_to_end[name]["bound"]
+                sign = 1 if end_to_end[name]["better"] == "lower" else -1  # worse reads higher
+                parent = m["parent"]["median"]
+                m["regressed"] = sign * (m["change"]["median"] - parent) > bound * parent
+                every_run_better = (max(sign * v for v in m["change_runs"])
+                                    < min(sign * v for v in m["parent_runs"]))
+                iqr = m["parent"]["q3"] - m["parent"]["q1"]
+                m["unresolved"] = iqr > bound * parent and not every_run_better
     result["no_regression"] = not any(m.get("regressed") for w in result["workloads"].values()
                                       for m in w["metrics"].values())
 
@@ -176,6 +186,10 @@ def main(argv=None) -> int:
         print(json.dumps(result["claim"]), file=sys.stderr)
     regressions(result, spec)
     print(f"no_regression: {result['no_regression']}", file=sys.stderr)
+    for workload, w in result["workloads"].items():
+        unresolved = [name for name, m in w["metrics"].items() if m.get("unresolved")]
+        if unresolved:
+            print(f"unresolved on {workload}: {', '.join(unresolved)}", file=sys.stderr)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
