@@ -3,12 +3,19 @@ distances, turn angles and clearance queries.
 
 All coordinates are metres in a fixed east/north frame. Angles returned by
 :func:`turn_angle_deg` are heading changes in degrees within [0, 180].
+
+:func:`point_clearance` and :func:`min_clearance` are the one clearance
+formula. :func:`near_boxes` is only their broad phase: a numpy screen of
+many points or legs at once that tells which obstacles can be skipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,3 +167,50 @@ def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
     return min([point_segment_distance(a, p, q) for p, q in sides]
                + [point_segment_distance(b, p, q) for p, q in sides]
                + [point_segment_distance(c, a, b) for c in corners])
+
+
+def obstacle_boxes(obstacles: Sequence[Obstacle]) -> np.ndarray:
+    """(m, 2, 2) axis-aligned boxes of the obstacles, [[xmin, ymin], [xmax, ymax]]."""
+    out = np.empty((len(obstacles), 2, 2))
+    for k, obs in enumerate(obstacles):
+        if isinstance(obs, Circle):
+            (x, y), r = (obs.center.x, obs.center.y), obs.radius
+            out[k] = ((x - r, y - r), (x + r, y + r))
+        else:
+            out[k] = ((obs.min_corner.x, obs.min_corner.y), (obs.max_corner.x, obs.max_corner.y))
+    return out
+
+
+def near_boxes(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray, need: float) -> np.ndarray:
+    """(k, m) bool: whether box [lo[k], hi[k]] comes within need of obstacle
+    box m on both axes, plus a rounding margin.
+
+    lo and hi are (k, 2) corners: a leg's box is its endpoints' minimum and
+    maximum, a point's is the point itself. boxes comes from obstacle_boxes.
+    False means that every point of the box keeps at least need from that
+    obstacle as point_clearance and min_clearance compute it, so the exact
+    test may skip the obstacle; True means only that it has to run.
+    """
+    # A gap between two boxes on either axis is a lower bound on the distance
+    # between any point of one and any point of the other, so in exact
+    # arithmetic a gap past need would do. The margin covers rounding. Let
+    # scale be the largest magnitude in play (coordinates, box bounds, need).
+    # Each difference of two coordinates the exact test forms (at most
+    # 2·scale) is off by at most ulp(scale); its point-to-segment distances,
+    # the radius it subtracts and the box bounds here add a few ulps each, so
+    # its clearance sits within a few tens of ulp(scale) of the true one. A
+    # rectangle's sides are axis-aligned, so two of the four orientations in
+    # its crossing test have exact signs, and the other two can flip only for
+    # a leg within about 2^-48·scale of the rectangle. 4 096 ulp(scale), at
+    # most 9.1e-13·scale (3.8e-6 m at UTM-sized coordinates of 5e6 m), covers both
+    # with wide room. The argument needs the exact test's products of
+    # differences, up to 8·scale², to stay finite: past that every obstacle
+    # is near and the exact test decides.
+    scale = float(max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0),
+                      np.abs(boxes).max(initial=0.0), need))
+    reach = need + 4096 * math.ulp(scale) if 8 * scale * scale < math.inf else math.inf
+    near = np.ones((len(lo), len(boxes)), dtype=bool)
+    for axis in (0, 1):  # in place: the temporaries stay at two (k, m) masks
+        near &= lo[:, axis, None] <= boxes[:, 1, axis] + reach
+        near &= hi[:, axis, None] >= boxes[:, 0, axis] - reach
+    return near

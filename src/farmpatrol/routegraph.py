@@ -5,17 +5,29 @@ station last. An edge exists when the straight segment between the two nodes
 keeps at least FarmMap.clear_m distance to every obstacle (a leg that touches
 or crosses one is never clear); pruned pairs can still be reached through
 detours, found with :func:`shortest_detour`.
+
+The build is a broad phase and a narrow phase. A numpy screen
+(:func:`geometry.near_boxes`) compares the box of each leg with the box of
+each obstacle, widened by clear_m and a rounding margin; a leg whose box
+stays that far from every obstacle is an edge at once. Every other leg runs
+the exact scalar :func:`geometry.min_clearance` against the obstacles its box
+comes near, in obstacle order, up to the first that blocks it. The gap
+between boxes is a lower bound on the distance, and the margin covers the
+rounding of both tests, so the screen only skips tests that would pass: the
+graph is the one the exact test alone gives.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
-from .geometry import Point2D, Segment2D, min_clearance
+from .geometry import Point2D, Segment2D, min_clearance, near_boxes, obstacle_boxes
 from .world import FarmMap, WaypointSet
 
 
@@ -80,7 +92,13 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
     station indexes farm.stations. include optionally restricts the graph to a
     subset of valid waypoint grid indices (used when the field is split across
     drones); by default every valid waypoint is a node. Raises
-    DisconnectedGraphError when any included waypoint is unreachable from home.
+    DisconnectedGraphError when any included waypoint is unreachable from home;
+    its message names the first few, its unreachable attribute all of them.
+
+    Node i's legs to the later nodes are screened together against the
+    obstacle boxes (see the module docstring); min_clearance runs only for a
+    leg and an obstacle the screen keeps, so its temporaries grow with the
+    nodes times the obstacles, never with the pairs times the obstacles.
     """
     if not 0 <= station < len(farm.stations):
         raise ValueError(f"station index {station} out of range "
@@ -100,13 +118,16 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
 
     adj = np.zeros((n, n), dtype=bool)
     need = farm.clear_m
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] == pts[j]:
-                continue  # coincident nodes cannot share a flyable edge
-            seg = Segment2D(pts[i], pts[j])
-            if all(min_clearance(seg, obs) >= need for obs in farm.obstacles):
-                adj[i, j] = adj[j, i] = True
+    boxes = obstacle_boxes(farm.obstacles)
+    for i in range(n - 1):
+        rest = xy[i + 1:]
+        clear = ~(rest == xy[i]).all(axis=1)  # coincident nodes cannot share a flyable edge
+        near = near_boxes(np.minimum(xy[i], rest), np.maximum(xy[i], rest), boxes, need)
+        jj, kk = np.nonzero(near & clear[:, None])  # by leg, then in obstacle order
+        for j, hits in groupby(zip(jj.tolist(), kk.tolist()), key=itemgetter(0)):
+            seg = Segment2D(pts[i], pts[i + 1 + j])
+            clear[j] = all(min_clearance(seg, farm.obstacles[k]) >= need for _, k in hits)
+        adj[i, i + 1:] = adj[i + 1:, i] = clear
 
     home = n - 1
     seen = np.zeros(n, dtype=bool)
@@ -119,7 +140,9 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
     if not seen.all():
         missing = [k for k in range(n) if not seen[k]]
         labels = ", ".join(
-            f"waypoint {grid_ids[k]} at ({xy[k, 0]:g}, {xy[k, 1]:g})" for k in missing)
+            f"waypoint {grid_ids[k]} at ({xy[k, 0]:g}, {xy[k, 1]:g})" for k in missing[:5])
+        if len(missing) > 5:  # one line, whatever the grid
+            labels += f" and {len(missing) - 5} more"
         raise DisconnectedGraphError(
             f"graph is disconnected: unreachable from home: {labels}",
             tuple(grid_ids[k] for k in missing))

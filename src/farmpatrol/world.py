@@ -30,7 +30,10 @@ import reprlib
 from dataclasses import dataclass
 from importlib import resources
 
-from .geometry import Circle, Obstacle, Point2D, Rect, point_clearance
+import numpy as np
+
+from .geometry import (Circle, Obstacle, Point2D, Rect, near_boxes, obstacle_boxes,
+                       point_clearance)
 
 DEFAULT_CLEARANCE_M = 10.0
 DEFAULT_GRID_SPACING_M = 38.0
@@ -225,11 +228,13 @@ def load_map(document: str | bytes | dict) -> FarmMap:
             f"grid points over the perimeter")
 
     need = farm.clear_m
+    xy = np.array([[st.x, st.y] for st in stations]).reshape(-1, 2)  # (0, 2) for none
+    near = near_boxes(xy, xy, obstacle_boxes(obstacles), need)
     for i, st in enumerate(stations):
         if not farm.contains(st):
             raise MapSchemaError(f"stations[{i}]: outside perimeter")
-        for j, obs in enumerate(obstacles):
-            d = point_clearance(st, obs)
+        for j in np.flatnonzero(near[i]).tolist():  # the others are clear
+            d = point_clearance(st, obstacles[j])
             if d < need:
                 gap = f"{d:.2f} m < {clearance:.2f} m from" if d > 0 else "touches or lies inside"
                 raise MapSchemaError(
@@ -252,13 +257,18 @@ def generate_waypoints(farm: FarmMap) -> WaypointSet:
     s = farm.grid_spacing_m
     need = farm.clear_m
     n_rows, n_cols = _grid_shape(farm)
+    boxes = obstacle_boxes(farm.obstacles)
     points = []
     valid = []
     for row in range(n_rows):
-        for col in range(n_cols):
-            p = Point2D(farm.perimeter_min.x + col * s, farm.perimeter_min.y + row * s)
-            points.append(p)
-            valid.append(all(point_clearance(p, obs) >= need for obs in farm.obstacles))
+        line = [Point2D(farm.perimeter_min.x + col * s, farm.perimeter_min.y + row * s)
+                for col in range(n_cols)]
+        xy = np.array([[p.x, p.y] for p in line])
+        near = near_boxes(xy, xy, boxes, need)  # one screen per grid row
+        for p, hits in zip(line, near):
+            valid.append(all(point_clearance(p, farm.obstacles[k]) >= need
+                             for k in np.flatnonzero(hits).tolist()))
+        points.extend(line)
     return WaypointSet(tuple(points), tuple(valid), n_rows, n_cols)
 
 

@@ -12,6 +12,8 @@ import farmpatrol.harness
 from farmpatrol.aco import AcoParams
 from farmpatrol.cli import main
 from farmpatrol.harness import BenchConfig
+from farmpatrol.routegraph import DisconnectedGraphError, build_graph
+from farmpatrol.world import generate_waypoints, load_map_file
 
 REFERENCE_MAP = str(resources.files("farmpatrol").joinpath("data/reference_farm.json"))
 
@@ -60,6 +62,21 @@ def test_validate_disconnected_exits_3(tmp_path, capsys):
                   obstacles=[{"type": "rect", "min": [25, 0], "max": [35, 60]}])
     assert main(["validate", p]) == 3
     assert "connectivity error" in capsys.readouterr().err
+
+
+def test_a_disconnected_grid_is_named_in_one_short_line(tmp_path, capsys):
+    # a wall across a 600 x 350 m field cuts off 70 waypoints
+    p = write_map(tmp_path / "split.json", perimeter={"min": [0, 0], "max": [600, 350]},
+                  obstacles=[{"type": "rect", "min": [290, 0], "max": [310, 350]}],
+                  grid_spacing_m=38.0)
+    assert main(["validate", p]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("connectivity error:") and err.count("\n") == 1
+    assert len(err.encode()) < 500 and err.rstrip().endswith("and 65 more")
+    farm = load_map_file(p)
+    with pytest.raises(DisconnectedGraphError) as caught:
+        build_graph(farm, generate_waypoints(farm), 0)
+    assert len(caught.value.unreachable) == 70
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """tools/paired_bench.py: the spread and the claim it records, on synthetic runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests
         at_last = side == "change" and k == last
         return {"metrics": {"run_s": next(values[side])},
                 "digest": digests[k] if side == "change" and digests else f"d{seed}",
+                "rounds": 2 if side == "parent" else 8,
                 "attempted": 10, "failed": failed if at_last else 0,
                 "correct": correct or not at_last}
 
@@ -42,6 +45,19 @@ def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests
 def test_spread_gives_median_and_inclusive_quartiles(bench):
     assert bench.spread([5.0, 1.0, 3.0, 2.0, 4.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
     assert bench.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_each_run_records_the_rounds_perfbench_completed(bench, monkeypatch):
+    stdout = ("# sweep-survey seed 1: 7 untraced + 0 traced rounds, 42 plans, "
+              "digest 95ac717afe0c8ef3\n"
+              + json.dumps({"correct": True, "attempted": 42, "failed": 0,
+                            "metrics": {"run_s": {"value": 1.5, "unit": "s"}}}) + "\n")
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda args, **kw: subprocess.CompletedProcess(args, 0, stdout, ""))
+    run = bench.run_once(Path("change"), "sweep-survey", 1, 30.0)
+    assert (run["rounds"], run["digest"], run["metrics"]) == (7, "95ac717afe0c8ef3", {"run_s": 1.5})
+    result = measured(bench, monkeypatch, [2.0] * 3, [1.0] * 3)
+    assert result["workloads"]["w"]["rounds"] == {"parent": [2, 2, 2], "change": [8, 8, 8]}
 
 
 def test_a_clear_gain_on_correct_runs_is_met(bench, monkeypatch):

@@ -12,7 +12,9 @@ that goes first alternates from pair to pair (the parent on the first). The
 output records, per workload and end-to-end metric, each side's median and
 quartiles, the raw runs in pair order, change_lower (pairs in which the
 change read lower) and ties, with every run's digest and correctness, and
-same_tours (every seed's change digest equals the parent's). Every run
+same_tours (every seed's change digest equals the parent's), and rounds, the
+rounds each run completed (perfbench keeps every round's plans to the end
+of a run, so peak_rss_mb grows with them). Every run
 also records, per workload and end-to-end metric, regressed: the change's
 median is worse than the parent's by more than the metric's BENCHMARK.json
 bound, a share of the parent's median, in the metric's better direction;
@@ -61,8 +63,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"paired_bench: no output from {checkout}:\n{proc.stderr}")
     out = json.loads(lines[-1])
     found = re.search(r"digest (\w+)", proc.stdout)
+    rounds = re.search(r"(\d+) untraced \+ (\d+) traced rounds", proc.stdout)
     return {"metrics": {k: v["value"] for k, v in out["metrics"].items()},
             "digest": found.group(1) if found else None,
+            "rounds": sum(map(int, rounds.groups())) if rounds else None,
             "attempted": out["attempted"], "failed": out["failed"],
             "correct": out["correct"] and proc.returncode == 0}
 
@@ -97,6 +101,7 @@ def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict
         "all_runs_correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
+        "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
         "metrics": metrics,
         "digests": digests,
         "same_tours": digests["parent"] == digests["change"],
