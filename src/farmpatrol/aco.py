@@ -33,11 +33,12 @@ total; a step does extra work only when some ant has no positive total
 (a hop, a strand or a rescue). An infinite weight takes its limit per
 ant, so no ant's choice depends on the others in its batch.
 Every turn the colony weighs is energy.turns of two legs taken from the
-node coordinates, the formula tour_cost charges. The closed tours of an
-iteration are costed together, row by row, with the same arithmetic as
-tour_cost and the energy coefficients held by the solve's one _Space.
-Incomplete walks are costed only while no complete tour has been found (the
-best of them is returned when none ever is) or when solve is traced.
+node coordinates, the formula tour_cost charges. _energy, aco's one call of
+energy.path_metrics, costs every walk with the arithmetic of tour_cost and
+the coefficients of the solve's one _Space: an iteration's closed tours as
+one stack, any other walk alone. Incomplete walks are costed only while no
+complete tour has been found (the best of them is returned when none ever
+is) or when solve is traced.
 
 solve polishes complete tours with a best-improvement, turn-aware 2-opt
 (_two_opt; Croes 1958): an iteration's cheapest closed tour whenever it
@@ -83,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, Tour, path_metrics, path_metrics_rows, tour_cost, turns
+from .energy import EnergyModel, Tour, path_metrics, tour_cost, turns
 from .routegraph import RouteGraph, pair_distances
 
 MAX_DEFAULT_ANTS = 50
@@ -492,18 +493,13 @@ def _resolve(g: RouteGraph, params: AcoParams) -> tuple[int, float]:
     return n_ants, rho
 
 
-def _tour_costs(space: _Space, tours: np.ndarray) -> np.ndarray:
-    """Energy of each row of an (m, k) array of equal-length node walks,
-    bit for bit what tour_cost gives for the same walk."""
-    dist, turn = path_metrics_rows(space.xy[tours])
-    return space.lam * dist + space.gamma * turn
-
-
-def _walk_cost(space: _Space, nodes: np.ndarray) -> float:
-    """Energy of one node walk of any length; inf below two nodes."""
-    if len(nodes) < 2:
+def _energy(space: _Space, walks: np.ndarray) -> float | np.ndarray:
+    """Energy of one node walk, inf below two nodes, or of each row of an
+    (m, k) array of equal-length walks: bit for bit what tour_cost gives for
+    the same walk. aco's one call of path_metrics."""
+    if walks.ndim == 1 and len(walks) < 2:
         return math.inf
-    dist, turn = path_metrics(space.xy[nodes])
+    dist, turn = path_metrics(space.xy[walks])
     return space.lam * dist + space.gamma * turn
 
 
@@ -531,7 +527,7 @@ def nearest_neighbour_cost(g: RouteGraph, model: EnergyModel,
         seen[nxt] = True
         turn = space.turn(cur, nxt, np.arange(g.n_nodes))
         walk.append(nxt)
-    return _walk_cost(space, np.array(walk + [home])) if len(walk) > 1 else 0.0
+    return _energy(space, np.array(walk + [home])) if len(walk) > 1 else 0.0
 
 
 def _reversal_deltas(space: _Space, t: np.ndarray,
@@ -575,8 +571,8 @@ def _reversal_deltas(space: _Space, t: np.ndarray,
 def _two_opt(space: _Space, t: np.ndarray, cost: float) -> tuple[np.ndarray, float]:
     """Best-improvement 2-opt of the closed walk t of exact cost `cost`:
     take the reversal with the lowest delta (_reversal_deltas), recost it
-    exactly with _tour_costs, and keep it only if that cost is strictly
-    lower; stop at the first move that is not. Returns (walk, cost)."""
+    exactly with _energy, and keep it only if that cost is strictly lower;
+    stop at the first move that is not. Returns (walk, cost)."""
     while True:
         i, j, delta = _reversal_deltas(space, t)
         if delta.size == 0 or not delta.min() < 0.0:
@@ -584,7 +580,7 @@ def _two_opt(space: _Space, t: np.ndarray, cost: float) -> tuple[np.ndarray, flo
         k = int(np.argmin(delta))
         moved = t.copy()
         moved[i[k]:j[k] + 1] = t[i[k]:j[k] + 1][::-1]
-        moved_cost = float(_tour_costs(space, moved[None])[0])
+        moved_cost = _energy(space, moved)
         if not moved_cost < cost:
             return t, cost
         t, cost = moved, moved_cost
@@ -677,7 +673,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
             np.power(tau_pow, params.alpha, out=tau_pow)
         paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, draw)
         tours = paths[closed]
-        costs = _tour_costs(space, tours)
+        costs = _energy(space, tours)
         if costs.size:
             k = int(np.argmin(costs))  # first of equals, as a scan in ant order
             if costs[k] < best_cost:
@@ -692,7 +688,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         if trace is not None or best_nodes is None:
             for k in np.nonzero(~closed)[0].tolist():
                 walk = paths[k, :lengths[k]]
-                walk_costs[k] = cost = _walk_cost(space, walk)
+                walk_costs[k] = cost = _energy(space, walk)
                 if cost < fallback_cost:
                     fallback_nodes, fallback_cost = tuple(walk.tolist()), cost
         history.append(out_cost)

@@ -51,30 +51,26 @@ class Tour:
     is_valid: bool
 
 
-def path_metrics(xy: np.ndarray) -> tuple[float, float]:
+def path_metrics(xy: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Total length (m) and summed interior turn (deg) of a polyline.
 
-    xy is an (k, 2) array of vertices; consecutive duplicates are not allowed
-    (the turn angle would be undefined there).
+    xy is an (k, 2) array of vertices, and the result two floats; or an
+    (m, k, 2) stack of equal-length polylines, and the result two (m,)
+    arrays. A polyline goes through the stack form as a one-row stack, so
+    row r of a stack gives what xy[r] alone does, bit for bit. Consecutive
+    duplicates are not allowed (the turn angle would be undefined there).
     """
-    dist, turn = path_metrics_rows(np.asarray(xy, dtype=float)[None])
-    return float(dist[0]), float(turn[0])
-
-
-def path_metrics_rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """path_metrics of each row of an (m, k, 2) stack of equal-length
-    polylines, as two (m,) arrays.
-
-    Each row goes through the same element-wise ops and the same per-row
-    reductions as a single polyline, so row r equals path_metrics(xy[r]).
-    """
-    d = np.diff(xy, axis=1)
+    xy = np.asarray(xy, dtype=float)
+    d = np.diff(xy if xy.ndim == 3 else xy[None], axis=1)
     legs = np.hypot(d[..., 0], d[..., 1])
     if np.any(legs == 0.0):
         raise ValueError("polyline repeats a vertex; turn angle undefined")
     u, v = d[:, :-1], d[:, 1:]
+    dist = legs.sum(axis=1)
     turn = turns(u[..., 0], u[..., 1], v[..., 0], v[..., 1]).sum(axis=1)
-    return legs.sum(axis=1), turn
+    if xy.ndim == 3:
+        return dist, turn
+    return float(dist[0]), float(turn[0])
 
 
 def turns(ux, uy, vx, vy) -> np.ndarray:

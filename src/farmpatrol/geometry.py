@@ -128,7 +128,10 @@ def point_segment_distance(p: Point2D, a: Point2D, b: Point2D) -> float:
     if denom == 0.0:
         return math.hypot(apx, apy)
     t = (apx * abx + apy * aby) / denom
-    t = min(1.0, max(0.0, t))
+    if t >= 1.0:
+        # from b itself: ap - ab would lose an offset below an ulp of ab
+        return math.hypot(p.x - b.x, p.y - b.y)
+    t = max(0.0, t)
     return math.hypot(apx - t * abx, apy - t * aby)
 
 

@@ -1,9 +1,12 @@
 import hashlib
+import importlib.util
 import math
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +17,10 @@ from farmpatrol.aco import (
     AcoParams, nearest_neighbour_cost, solve,
 )
 from farmpatrol.energy import EnergyModel, heuristic, tour_cost
-from farmpatrol.fleet import plan_fleet
+from farmpatrol.fleet import partition, plan_fleet
 from farmpatrol.geometry import Point2D, turn_angle_deg
 from farmpatrol.routegraph import RouteGraph, build_graph
-from farmpatrol.world import FarmMap, generate_waypoints, reference_farm
+from farmpatrol.world import FarmMap, generate_waypoints, load_map, reference_farm
 
 MODEL = EnergyModel()
 
@@ -494,6 +497,67 @@ def test_ants_past_the_budget_hop_to_candidates_or_the_nearest_neighbour(monkeyp
         hops["hop after a strand"] += sum(bool(hop) and bool(strand) and min(strand) < max(hop)
                                           for hop, strand in steps.values())
     assert hops["listed"] and hops[seen_hop]
+
+
+FARMS = Path(__file__).resolve().parents[1] / "perfbench" / "farms.py"
+
+
+@pytest.fixture(scope="module")
+def step_graphs():
+    """The reference farm's graph and the two halves of the benchmark's
+    seed-1 600 x 350 m farm (field600), all within the row budget."""
+    spec = importlib.util.spec_from_file_location("perfbench_farms", FARMS)
+    farms = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(farms)
+    farm = reference_farm()
+    graphs = {"reference": build_graph(farm, generate_waypoints(farm), 0)}
+    farm = load_map(farms.generate_farm(farms.FarmSpec(600, 350, 5, 9), 1000))  # --seed 1
+    w = generate_waypoints(farm)
+    for k, part in enumerate(partition(farm, w, 2)):
+        graphs[f"field600 half {k}"] = build_graph(farm, w, k, include=part)
+    return graphs
+
+
+def run_both_steps(monkeypatch, g, params, model=MODEL):
+    """traced_solve with every node's clear neighbours on its candidate
+    list, once with the full-row step and once with the candidate step
+    forced by a budget just below the full rows' need."""
+    need = (1 + int(g.adj.sum())) * 8 * g.n_nodes
+    with monkeypatch.context() as patch:
+        patch.setattr(aco, "_CANDIDATES", int(g.adj.sum(axis=1).max()))
+        assert not aco._Space(g, model, params.beta).listed
+        full = traced_solve(g, params, model)
+        patch.setattr(aco, "_ROW_TABLE_BYTES", need - 1)
+        space = aco._Space(g, model, params.beta)
+        assert space.listed and space.every_pair  # the table still stores every pair
+        listed = traced_solve(g, params, model)
+    return full, listed
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+@pytest.mark.parametrize("graph", ["reference", "field600 half 0", "field600 half 1"])
+def test_the_two_construction_steps_walk_alike(monkeypatch, step_graphs, graph, variant, seed):
+    # with lists that hold every clear neighbour, the candidate step weighs
+    # the options the full-row step does, so each step checks the other:
+    # walks, trails, costs and the result, bit for bit
+    full, listed = run_both_steps(monkeypatch, step_graphs[graph],
+                                  AcoParams(variant=variant, n_iterations=15, seed=seed))
+    assert full[0].best_tour.is_valid
+    assert listed == full
+
+
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+@pytest.mark.parametrize("model,alpha", [
+    (EnergyModel(1e-320, 0.0173), 1.0),   # eta = 1 / (lambda * d) overflows
+    (EnergyModel(1e-320, 1e304), 1.0),    # the scaled lambda * d is 0 on every edge
+    (MODEL, 1e308),                       # tau^alpha underflows to 0
+])
+def test_the_two_construction_steps_walk_alike_on_extreme_models(monkeypatch, step_graphs,
+                                                                  variant, model, alpha):
+    params = AcoParams(variant=variant, n_iterations=15, alpha=alpha, seed=1)
+    full, listed = run_both_steps(monkeypatch, step_graphs["reference"], params, model)
+    assert listed == full
 
 
 @pytest.mark.parametrize("n", [80, 160, 400])

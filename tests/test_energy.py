@@ -146,6 +146,36 @@ def test_invariances_quick():
         assert 0.0 <= turn <= 180.0 * (len(xy) - 2) + 1e-9
 
 
+def test_a_stack_costs_each_row_bit_for_bit_as_the_single_form():
+    rng = random.Random(5)
+    for k in (2, 3, 9):
+        stack = np.array([random_polyline(rng, k) for _ in range(12)])
+        dist, turn = path_metrics(stack)
+        singles = [path_metrics(row) for row in stack]
+        assert all(type(d) is float and type(t) is float for d, t in singles)
+        want_dist, want_turn = np.array(singles).T
+        assert dist.shape == turn.shape == (12,)
+        assert np.array_equal(dist.view(np.uint64), want_dist.view(np.uint64))
+        assert np.array_equal(turn.view(np.uint64), want_turn.view(np.uint64))
+
+
+def test_a_stack_with_a_repeated_vertex_in_any_row_raises():
+    rng = random.Random(6)
+    stack = np.array([random_polyline(rng, 6) for _ in range(5)])
+    path_metrics(stack)
+    for r in range(len(stack)):
+        bad = stack.copy()
+        bad[r, 4] = bad[r, 3]
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            path_metrics(bad)
+
+
+def test_an_empty_stack_gives_empty_arrays():
+    dist, turn = path_metrics(np.empty((0, 7, 2)))
+    assert isinstance(dist, np.ndarray) and isinstance(turn, np.ndarray)
+    assert dist.shape == turn.shape == (0,)
+
+
 def test_tour_is_frozen():
     t = Tour((0, 1), 1.0, 0.0, 0.1164, False)
     with pytest.raises(Exception):

@@ -125,19 +125,33 @@ def test_point_clearance():
 
 
 def test_point_clearance_on_rects_matches_clamp_oracle():
+    def check(px, py, x0, y0, x1, y1):
+        want = oracles.point_rect_clearance(px, py, x0, y0, x1, y1)
+        got = point_clearance(P(px, py), Rect(P(x0, y0), P(x1, y1)))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     rng = random.Random(17)
     for _ in range(400):
         x0, y0 = rng.uniform(-50, 50), rng.uniform(-50, 50)
         x1, y1 = x0 + rng.uniform(0.1, 40), y0 + rng.uniform(0.1, 40)
-        rect = Rect(P(x0, y0), P(x1, y1))
         # on an edge or corner line, inside, and on either side beyond it:
         # every pair is inside, on an edge or corner, or in a side or corner region
         xs = (x0, x1, rng.uniform(x0, x1), rng.uniform(x0 - 30, x0), rng.uniform(x1, x1 + 30))
         ys = (y0, y1, rng.uniform(y0, y1), rng.uniform(y0 - 30, y0), rng.uniform(y1, y1 + 30))
         for px in xs:
             for py in ys:
-                want = oracles.point_rect_clearance(px, py, x0, y0, x1, y1)
-                assert point_clearance(P(px, py), rect) == pytest.approx(want, rel=1e-12)
+                check(px, py, x0, y0, x1, y1)
+    # clear of the corner by far less than an ulp of the sides: not touching
+    check(0.001, 0.0, 0.001, 2.66e-144, 0.002, 0.001)
+
+
+def test_min_clearance_keeps_an_offset_below_an_ulp_of_the_leg():
+    # the leg ends 2.66e-144 m below the rectangle's corner
+    want = oracles.seg_rect_clearance(0.0, 0.0, 0.001, 0.0, 0.001, 2.66e-144, 0.002, 0.001)
+    got = min_clearance(Segment2D(P(0.0, 0.0), P(0.001, 0.0)),
+                        Rect(P(0.001, 2.66e-144), P(0.002, 0.001)))
+    assert want == 2.66e-144
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_shape_validation():

@@ -10,9 +10,10 @@ import inspect
 
 import farmpatrol
 from farmpatrol import aco, baseline, fleet, routegraph
-from farmpatrol.aco import SolverRun
+from farmpatrol.aco import AcoParams, SolverRun
+from farmpatrol.energy import EnergyModel, path_metrics
 from farmpatrol.fleet import DronePlan
-from farmpatrol.world import WaypointSet
+from farmpatrol.world import WaypointSet, generate_waypoints, reference_farm
 
 
 def test_every_public_name_resolves_once():
@@ -44,3 +45,23 @@ def test_names_the_benchmark_relies_on():
     assert "points" in fields(WaypointSet)
     assert callable(WaypointSet.valid_indices)
     assert isinstance(WaypointSet.n_valid, property)
+
+
+def test_the_colony_costs_every_walk_through_the_name_perfbench_times(monkeypatch):
+    # perfbench times energy.path_metrics by wrapping aco.path_metrics, so
+    # every iteration's batch of closed tours must be costed through it
+    farm = reference_farm()
+    g = routegraph.build_graph(farm, generate_waypoints(farm), 0)
+    params = AcoParams(variant="MMAS", n_iterations=12, seed=7)
+    plain = aco.solve(g, EnergyModel(), params)
+    shapes = []
+
+    def counted(xy):
+        shapes.append(xy.shape)
+        return path_metrics(xy)
+
+    monkeypatch.setattr(aco, "path_metrics", counted)
+    wrapped = aco.solve(g, EnergyModel(), params)
+    assert len(shapes) >= params.n_iterations
+    assert sum(len(shape) == 3 for shape in shapes) == params.n_iterations  # one batch each
+    assert wrapped == plain
