@@ -40,24 +40,24 @@ one stack, any other walk alone. Incomplete walks are costed only while no
 complete tour has been found (the best of them is returned when none ever
 is) or when solve is traced.
 
-solve polishes complete tours with a best-improvement, turn-aware 2-opt
-(_two_opt; Croes 1958): an iteration's cheapest closed tour whenever it
-beats the best polished tour so far (local search on improvements, as in
-MMAS+LS, Stützle & Hoos 2000), and after the last iteration the colony's
-own best if it never was. A move reverses positions i..j: it swaps two legs
-for two new ones, which must be graph edges, and changes at most four
-turns, none at home. A pass scores only the moves whose new leg out of
-position i - 1 runs to one of that node's candidates, its _CANDIDATES
-nearest clear neighbours (neighbour lists, Bentley 1992; Johnson & McGeoch
-1997), found through each node's position in the walk: at most _CANDIDATES
-moves per position, not every pair of positions. One numpy pass scores
-them from the solve's _Space (_reversal_deltas), measuring new turns only
-where a lower bound can still improve. The best move is recosted exactly
-and kept only if that cost is strictly lower, so the pass ends. The colony
-itself never sees a polished tour: it keeps its own best for the MMAS
-deposit and trail bounds, so the polish changes no walk, trail or trace
-payload, only the result, which costs at most the polish of the colony's
-final best.
+solve polishes the colony's best tour with a best-improvement, turn-aware
+2-opt (_two_opt; Croes 1958). One rule decides when: at the end of each
+iteration, the colony's best is polished if it is not yet and either beats
+the best polished tour so far (local search on improvements, as in MMAS+LS,
+Stützle & Hoos 2000) or the iteration is the last. A move reverses
+positions i..j: it swaps two legs for two new ones, which must be graph
+edges, and changes at most four turns, none at home. A pass scores only the
+moves whose new leg out of position i - 1 runs to one of that node's
+candidates, its _CANDIDATES nearest clear neighbours (neighbour lists,
+Bentley 1992; Johnson & McGeoch 1997), found through each node's position
+in the walk: at most _CANDIDATES moves per position, not every pair of
+positions. One numpy pass scores them from the solve's _Space
+(_reversal_deltas), measuring new turns only where a lower bound can still
+improve. The best move is recosted exactly and kept only if that cost is
+strictly lower, so the pass ends. The colony itself never sees a polished
+tour: it keeps its own best for the MMAS deposit and trail bounds, so the
+polish changes no walk, trail or trace payload, only the result, which
+costs at most the polish of the colony's final best.
 
 The weights of a step are scaled by powers of two, which is exact and so
 changes no choice: eta by the one that brings the larger energy coefficient
@@ -136,12 +136,10 @@ class SolverRun:
     best polished tour so far (inf before the first valid tour appears; at
     most the colony's own best) and bookkeeping.
 
-    best_iteration is the 1-based iteration whose cheapest tour, polished,
-    is best_tour, or 0 when no ant completed a tour (best_tour is then the
-    best incomplete walk). It equals the number of iterations when the
-    closing polish of the colony's own final best found best_tour; the last
-    history entry is then that cost. Either way
-    best_cost_history[best_iteration - 1] is best_tour's cost.
+    best_iteration is the 1-based iteration at whose end the polish found
+    best_tour, or 0 when no ant completed a tour (best_tour is then the best
+    incomplete walk); best_cost_history[best_iteration - 1] is best_tour's
+    cost.
     Whether the run found a coverage tour is best_tour.is_valid.
     """
 
@@ -483,16 +481,6 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     return paths, lengths, closed
 
 
-def _resolve(g: RouteGraph, params: AcoParams) -> tuple[int, float]:
-    n_ants = params.n_ants
-    if n_ants is None:
-        n_ants = max(1, min(g.n_waypoints, MAX_DEFAULT_ANTS))
-    rho = params.rho
-    if rho is None:
-        rho = 0.5 if params.variant == "AS" else 0.05
-    return n_ants, rho
-
-
 def _energy(space: _Space, walks: np.ndarray) -> float | np.ndarray:
     """Energy of one node walk, inf below two nodes, or of each row of an
     (m, k) array of equal-length walks: bit for bit what tour_cost gives for
@@ -586,14 +574,6 @@ def _two_opt(space: _Space, t: np.ndarray, cost: float) -> tuple[np.ndarray, flo
         t, cost = moved, moved_cost
 
 
-def _as_tour(g: RouteGraph, model: EnergyModel, nodes: tuple[int, ...],
-             complete: bool) -> Tour:
-    tour = tour_cost(g, model, nodes)
-    if complete and not tour.is_valid:
-        raise AssertionError("constructed tour failed the structural check")
-    return tour
-
-
 def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
           trace=None) -> SolverRun:
     """Run the configured colony, polishing its complete tours with 2-opt
@@ -617,18 +597,22 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     complete tour has been found: the best of them is the fallback result
     when none ever is. Tracing changes no tour or cost.
 
-    The polish runs on an iteration's cheapest closed tour when that beats
-    every polished tour so far, and after the last iteration on the
-    colony's own best if that was never polished; a fallback walk is
-    returned as found. When the closing polish improves the result, the
-    last entry of best_cost_history becomes its cost and best_iteration
-    becomes n_iterations. The colony and the trace see only the colony's
-    own tours.
+    At the end of each iteration the polish runs on the colony's own best
+    if that is unpolished and either beats every polished tour so far or
+    the iteration is the last; a fallback walk is returned as found. Then
+    best_cost_history gains the result's cost. The colony and the trace see
+    only the colony's own tours: AS and MMAS differ only in which walks lay
+    trails, through one deposit, and in MMAS's clamp.
     """
     if g.n_waypoints == 0:
         raise ValueError("graph has no waypoints to cover")
     n = g.n_nodes
-    n_ants, rho = _resolve(g, params)
+    n_ants = params.n_ants
+    if n_ants is None:
+        n_ants = max(1, min(g.n_waypoints, MAX_DEFAULT_ANTS))
+    rho = params.rho
+    if rho is None:
+        rho = 0.5 if params.variant == "AS" else 0.05
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in q or d
         space = _Space(g, model, params.beta)
         q = nearest_neighbour_cost(g, model, space)
@@ -649,13 +633,15 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         tau_max = 1.0 / (rho * q)  # best cost unknown yet: seed with the greedy scale
         tau = np.full((n, n), tau_max)
 
-    best_nodes: tuple[int, ...] | None = None  # the colony's own best, unpolished
+    # the colony's own best, unpolished, as a stack of one walk (none before
+    # the first complete tour)
+    best = np.empty((0, g.n_waypoints + 2), dtype=np.int64)
     best_cost = math.inf
-    polished = False  # whether best_nodes went through _two_opt
-    out_nodes: tuple[int, ...] | None = None  # the best polished tour: the result
+    polished = True  # whether best went through _two_opt (vacuously while there is none)
+    out_nodes = None  # the best polished tour: the result
     out_cost = math.inf
     best_iteration = 0  # the iteration that found out_nodes
-    fallback_nodes: tuple[int, ...] | None = None  # best incomplete walk
+    fallback = None  # best incomplete walk
     fallback_cost = math.inf
     history = []
     tau_pow = np.empty_like(tau)  # tau^alpha, rewritten in place each iteration
@@ -677,39 +663,38 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
         if costs.size:
             k = int(np.argmin(costs))  # first of equals, as a scan in ant order
             if costs[k] < best_cost:
-                best_nodes, best_cost = tuple(tours[k].tolist()), float(costs[k])
-                # out_cost <= best_cost always, so only a new colony best can
-                # beat the result, and then its polish is the new result
-                polished = best_cost < out_cost
-                if polished:
-                    nodes, out_cost = _two_opt(space, tours[k], best_cost)
-                    out_nodes, best_iteration = tuple(nodes.tolist()), it + 1
+                best, best_cost, polished = tours[k:k + 1], float(costs[k]), False
+        # out_cost <= best_cost always, so only a new colony best can beat the
+        # result; the last iteration polishes the colony's best whatever its cost
+        if not polished and (best_cost < out_cost or it == params.n_iterations - 1):
+            nodes, cost = _two_opt(space, best[0], best_cost)
+            polished = True
+            if cost < out_cost:
+                out_nodes, out_cost, best_iteration = nodes, cost, it + 1
         walk_costs = {}
-        if trace is not None or best_nodes is None:
+        if trace is not None or out_nodes is None:
             for k in np.nonzero(~closed)[0].tolist():
                 walk = paths[k, :lengths[k]]
                 walk_costs[k] = cost = _energy(space, walk)
                 if cost < fallback_cost:
-                    fallback_nodes, fallback_cost = tuple(walk.tolist()), cost
+                    fallback, fallback_cost = walk, cost
         history.append(out_cost)
 
+        # AS: every closed tour deposits q / cost; MMAS: the colony's best
+        # deposits 1 / best cost. Edges of walk 0 forward, then backward,
+        # then walk 1, ...: each trail cell receives its deposits in walk order
         tau *= (1.0 - rho)
         if params.variant == "AS":
-            # edges of ant 0 forward, then backward, then ant 1, ...: each
-            # trail cell receives its deposits in ant order
-            a, b = tours[:, :-1], tours[:, 1:]
-            np.add.at(tau, (np.hstack([a, b]).ravel(), np.hstack([b, a]).ravel()),
-                      np.repeat(q / costs, 2 * a.shape[1]))
-            bounds = None
+            walks, amounts = tours, q / costs
         else:
-            ref = best_cost if best_nodes is not None else q
-            tau_max = 1.0 / (rho * ref)
+            walks, amounts = best, np.full(len(best), 1.0 / best_cost)
+        a, b = walks[:, :-1], walks[:, 1:]
+        np.add.at(tau, (np.hstack([a, b]).ravel(), np.hstack([b, a]).ravel()),
+                  np.repeat(amounts, 2 * a.shape[1]))
+        bounds = None
+        if params.variant == "MMAS":
+            tau_max = 1.0 / (rho * (best_cost if best.size else q))
             tau_min = tau_max / (2.0 * n)
-            if best_nodes is not None:
-                a = np.asarray(best_nodes[:-1])
-                b = np.asarray(best_nodes[1:])
-                tau[a, b] += 1.0 / best_cost
-                tau[b, a] += 1.0 / best_cost
             np.clip(tau, tau_min, tau_max, out=tau)
             bounds = (tau_min, tau_max)
         if trace is not None:
@@ -719,15 +704,11 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
                     for k in range(n_ants)]
             trace(it, tau.copy(), bounds, ants)
 
-    if best_nodes is not None:
-        if not polished:
-            nodes, cost = _two_opt(space, np.asarray(best_nodes), best_cost)
-            if cost < out_cost:
-                out_nodes, history[-1] = tuple(nodes.tolist()), cost
-                best_iteration = params.n_iterations
-        best = _as_tour(g, model, out_nodes, True)
-    elif fallback_nodes is not None:
-        best = _as_tour(g, model, fallback_nodes, False)
-    else:
-        best = Tour((g.home,), 0.0, 0.0, 0.0, False)
-    return SolverRun(best, tuple(history), params.seed, best_iteration)
+    tour = Tour((g.home,), 0.0, 0.0, 0.0, False)  # no ant left home
+    if out_nodes is not None:
+        tour = tour_cost(g, model, out_nodes)
+        if not tour.is_valid:
+            raise AssertionError("constructed tour failed the structural check")
+    elif fallback is not None:
+        tour = tour_cost(g, model, fallback)
+    return SolverRun(tour, tuple(history), params.seed, best_iteration)

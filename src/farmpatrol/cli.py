@@ -204,8 +204,17 @@ def _add_aco_args(p):
     p.add_argument("--iterations", type=int, default=None, help="colony iterations")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a command line it cannot parse, which main
+    reports as one "error: ..." line with exit 1; subparsers inherit the
+    class. --help still prints usage and exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="farmpatrol",
         description="Energy-aware coverage path planning for patrol UAVs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MapSchemaError as exc:
         print(f"map error: {exc}", file=sys.stderr)

@@ -70,8 +70,8 @@ def partition(farm: FarmMap, waypoints: WaypointSet, n_drones: int) -> list[list
     if n_drones not in (1, 2):
         raise PlanningError(f"n_drones must be 1 or 2, got {n_drones}")
     if n_drones > len(farm.stations):
-        raise PlanningError(
-            f"{n_drones} drones need {n_drones} stations, map has {len(farm.stations)}")
+        need = "1 drone needs 1 station" if n_drones == 1 else "2 drones need 2 stations"
+        raise PlanningError(f"{need}, map has {len(farm.stations)}")
     valid = list(waypoints.valid_indices())
     if n_drones == 1:
         return [valid]

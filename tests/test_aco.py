@@ -180,6 +180,24 @@ def traced_solve(g, params, model=MODEL):
     return run, payloads
 
 
+@pytest.mark.parametrize("variant", ["AS", "MMAS"])
+def test_with_no_closed_tour_the_result_is_the_cheapest_walk(variant):
+    # no tour can close: ants strand at 0 -> 1 -> 2, at 0 -> 4 or at 3, and
+    # the cheapest of those walks is neither the first nor the longest
+    g = graph_from([(10, 0), (20, 0), (30, 0), (-40, 0), (10, 2)], (0, 0),
+                   edges=[(5, 0), (5, 3), (0, 1), (1, 2), (0, 4)])
+    params = AcoParams(variant=variant, n_ants=6, n_iterations=10, seed=3)
+    run, payloads = traced_solve(g, params)
+    walks = [(cost, nodes) for *_, ants in payloads for nodes, cost, complete in ants]
+    assert {len(nodes) for _, nodes in walks} == {2, 3, 4}
+    cost, nodes = min(walks, key=lambda walk: walk[0])
+    assert run.best_tour.nodes == nodes != walks[0][1]
+    assert run.best_tour.cost_kj == cost and not run.best_tour.is_valid
+    assert run.best_iteration == 0
+    assert all(math.isinf(c) for c in run.best_cost_history)
+    assert solve(g, MODEL, params) == run
+
+
 def test_solve_deterministic_per_seed():
     # on this 9-waypoint map seeds 11 and 12 polish to the same optimum at
     # iteration 1, so seed sensitivity shows in the ants' walks
@@ -236,7 +254,7 @@ def test_best_iteration_found_the_best_tour(variant):
 
 # (solver, seed) -> digest of the single-drone and dual-drone plans, each
 # drone's best tour nodes and the iteration that found it (60 when the
-# closing 2-opt polish did), 60 iterations.
+# last iteration's 2-opt polish did), 60 iterations.
 # Costs are left out: their last bits may differ on another numpy build or
 # platform, and other tests check them against tour_cost in one process.
 GOLDEN_TOURS = {
@@ -813,6 +831,20 @@ def check_polish_contract(g, params, monkeypatch):
                                  raw.best_tour.cost_kj)
     assert run.best_tour.cost_kj <= final_only
     return run, raw
+
+
+@pytest.mark.parametrize("seed", [2, 7, 8, 9])
+def test_the_last_iteration_polishes_the_colony_best(monkeypatch, seed):
+    # the colony's final best never beat the result, so only the last
+    # iteration's polish ran on it, and that polish is the result
+    g = random_graph(25, 5, keep=0.4)
+    params = AcoParams(variant="MMAS", n_ants=12, n_iterations=30, seed=seed)
+    run, raw = check_polish_contract(g, params, monkeypatch)
+    h = run.best_cost_history
+    assert run.best_iteration == 30 and h[-1] < h[-2] <= raw.best_tour.cost_kj
+    nodes, cost = aco._two_opt(aco._Space(g, MODEL), np.array(raw.best_tour.nodes),
+                               raw.best_tour.cost_kj)
+    assert run.best_tour.nodes == tuple(nodes.tolist()) and run.best_tour.cost_kj == cost
 
 
 @pytest.mark.parametrize("variant", ["AS", "MMAS"])

@@ -298,9 +298,34 @@ def test_bare_command_keeps_the_library_defaults(farm_file, tmp_path, monkeypatc
     assert calls == [want]
 
 
-def test_plan_rejects_unknown_solver(farm_file):
-    with pytest.raises(SystemExit):
-        main(["plan", farm_file, "--solver", "genetic"])
+def test_plan_rejects_unknown_solver(farm_file, capsys):
+    # a bad flag value is one error line and exit 1, as documented; exit 2
+    # is a malformed map's
+    assert main(["plan", farm_file, "--solver", "genetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --solver") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--ants", "abc"], ["--drones", "3"], None])
+def test_an_unparsable_command_line_is_one_error_line(farm_file, capsys, flags):
+    argv = ["plan"] if flags is None else ["plan", farm_file, *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: farmpatrol plan")
+
+
+def test_plan_on_a_map_without_stations_exits_4(tmp_path, capsys):
+    p = write_map(tmp_path / "farm.json", stations=[])
+    assert main(["plan", p, "--iterations", "2", "--out", str(tmp_path / "x.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "planning error: 1 drone needs 1 station, map has 0\n"
 
 
 def test_spacing_and_clearance_overrides(tmp_path, capsys):
