@@ -1,10 +1,12 @@
 """Back-and-forth reference planner.
 
-Sweeps the waypoint grid row by row (rows run along the longer grid axis),
-alternating direction each traversed row like a tractor. Pairs without a
-direct clear edge are stitched with the shortest detour through the graph, so
-the result may pass through some waypoints more than once; it is costed with
-revisits allowed.
+Sweeps the waypoint grid line by line in the grid's own order, alternating
+direction each line like a tractor. The lines are the grid rows when the grid
+is at least as wide as it is tall and its columns otherwise, taken in index
+order from whichever extreme line lies nearer to home; the first line is
+entered at the end nearer home. Pairs without a direct clear edge are stitched
+with the shortest detour through the graph, so the result may pass through
+some waypoints more than once; it is costed with revisits allowed.
 """
 
 from __future__ import annotations
@@ -17,45 +19,24 @@ from .world import WaypointSet
 
 
 def _serpentine_targets(g: RouteGraph, waypoints: WaypointSet) -> list[int]:
-    xs = [p.x for p in waypoints.points]
-    ys = [p.y for p in waypoints.points]
-    rows_along_x = (max(xs) - min(xs)) >= (max(ys) - min(ys))
-
-    rows: dict[int, list[int]] = {}
+    # the grid is row-major, so its corners give its extents; graph nodes
+    # follow the grid index, so each line's nodes already run in order along it
+    first, last = waypoints.points[0], waypoints.points[-1]
+    across = 1 if last.x - first.x >= last.y - first.y else 0  # y when lines run along x
+    by_line: dict[int, list[int]] = {}
     for node, grid in enumerate(g.waypoint_grid_ids):
-        r, c = waypoints.row_col(grid)
-        rows.setdefault(r if rows_along_x else c, []).append(node)
-
-    def along(node):
-        p = g.point(node)
-        return p.x if rows_along_x else p.y
-
-    def across(key):
-        nodes = rows[key]
-        p = g.point(nodes[0])
-        return p.y if rows_along_x else p.x
-
-    home = g.point(g.home)
-    home_across = home.y if rows_along_x else home.x
-    keys = sorted(rows, key=across)
-    # sweep starts at whichever extreme row lies nearer to home
-    if abs(across(keys[-1]) - home_across) < abs(across(keys[0]) - home_across):
-        keys.reverse()
-
-    order: list[int] = []
-    forward = True
-    for idx, key in enumerate(keys):
-        line = sorted(rows[key], key=along)
-        if idx == 0:
-            # enter the first row at the end nearest home
-            d_first = math.dist((home.x, home.y), (g.point(line[0]).x, g.point(line[0]).y))
-            d_last = math.dist((home.x, home.y), (g.point(line[-1]).x, g.point(line[-1]).y))
-            forward = d_first <= d_last
-        if not forward:
-            line.reverse()
-        order.extend(line)
+        by_line.setdefault(waypoints.row_col(grid)[1 - across], []).append(node)
+    lines = [by_line[key] for key in sorted(by_line)]
+    xy, home = g.xy, g.xy[g.home]
+    # start on the extreme line nearer to home, at its end nearer to home
+    if abs(xy[lines[-1][0], across] - home[across]) < abs(xy[lines[0][0], across] - home[across]):
+        lines.reverse()
+    forward = math.dist(home, xy[lines[0][0]]) <= math.dist(home, xy[lines[0][-1]])
+    targets: list[int] = []
+    for line in lines:
+        targets.extend(line if forward else reversed(line))
         forward = not forward
-    return order
+    return targets
 
 
 def plan_back_and_forth(g: RouteGraph, model: EnergyModel,

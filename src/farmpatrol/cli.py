@@ -78,7 +78,7 @@ def cmd_validate(args) -> int:
     print(f"waypoints: {w.n_valid} valid of {len(w.points)}")
     for k in range(len(farm.stations)):
         g = build_graph(farm, w, k)
-        print(f"station {k}: graph ok, {g.n_nodes} nodes, {len(g.edges())} edges")
+        print(f"station {k}: graph ok, {g.n_nodes} nodes, {int(g.adj.sum()) // 2} edges")
     print("map ok")
     return 0
 

@@ -154,3 +154,36 @@ def crossing_legs(points):
             if 0.0 < s < 1.0 and 0.0 < t < 1.0:
                 out.append((p, q))
     return out
+
+
+def serpentine_order(node_xy, node_row_col, grid_xy, home_xy):
+    """The nodes of a back-and-forth sweep in visiting order, from
+    coordinates: lines run along the longer extent of the grid points
+    grid_xy (x on a tie) and group the nodes by grid row (or column), given
+    per node in node_row_col; lines are sorted by their coordinate across,
+    each line's nodes by their coordinate along. The sweep starts on the
+    extreme line whose across coordinate lies nearer to home_xy's (the first
+    on a tie), enters it at the end nearer home (the lower on a tie) and
+    turns back at the end of every line."""
+    xs = [x for x, _ in grid_xy]
+    ys = [y for _, y in grid_xy]
+    along_x = max(xs) - min(xs) >= max(ys) - min(ys)
+    along, across = (0, 1) if along_x else (1, 0)
+    lines = {}
+    for node, (row, col) in enumerate(node_row_col):
+        lines.setdefault(row if along_x else col, []).append(node)
+    keys = sorted(lines, key=lambda key: node_xy[lines[key][0]][across])
+
+    def gap(key):
+        return abs(node_xy[lines[key][0]][across] - home_xy[across])
+
+    if gap(keys[-1]) < gap(keys[0]):
+        keys.reverse()
+    order = []
+    for k, key in enumerate(keys):
+        line = sorted(lines[key], key=lambda node: node_xy[node][along])
+        if k == 0:
+            forward = math.dist(home_xy, node_xy[line[0]]) <= math.dist(home_xy, node_xy[line[-1]])
+        order.extend(line if forward else line[::-1])
+        forward = not forward
+    return order

@@ -1,11 +1,17 @@
+import dataclasses
+import random
+
 import pytest
 
 import oracles
-from farmpatrol.baseline import plan_back_and_forth
+from farmpatrol.baseline import _serpentine_targets, plan_back_and_forth
 from farmpatrol.energy import EnergyModel
+from farmpatrol.fleet import PlanningError, partition
 from farmpatrol.geometry import Point2D, Rect
-from farmpatrol.routegraph import build_graph
-from farmpatrol.world import FarmMap, generate_waypoints
+from farmpatrol.routegraph import DisconnectedGraphError, build_graph
+from farmpatrol.world import (FarmMap, MapSchemaError, generate_waypoints, load_map,
+                              reference_farm)
+from test_fuzz import random_map
 
 MODEL = EnergyModel()
 
@@ -91,3 +97,58 @@ def test_empty_graph_rejected():
     g = build_graph(m, w, 0)
     with pytest.raises(ValueError, match="no waypoints"):
         plan_back_and_forth(g, MODEL, w)
+
+
+def tier1_random_maps() -> list[dict]:
+    """The random map documents the suite lays elsewhere: the screen's seeds
+    0-199 and the two 100-map streams of test_fuzz's planning runs."""
+    docs = [random_map(random.Random(seed)) for seed in range(200)]
+    for stream in (11, 12):
+        rng = random.Random(stream)
+        docs += [random_map(rng) for _ in range(100)]
+    return docs
+
+
+def sweep_graphs(farm, waypoints):
+    """Every graph a plan of farm may sweep: the full graph and both halves
+    of a two-drone split, each from every station. A one-station farm is
+    split as if its station stood twice."""
+    two = farm if len(farm.stations) == 2 else dataclasses.replace(
+        farm, stations=farm.stations * 2)
+    try:
+        halves = partition(two, waypoints, 2)
+    except PlanningError:
+        halves = []
+    for station in range(len(farm.stations)):
+        for include in [None] + halves:
+            try:
+                g = build_graph(farm, waypoints, station, include)
+            except DisconnectedGraphError:
+                continue
+            if g.n_waypoints:
+                yield g
+
+
+def test_sweep_order_equals_the_coordinate_sorting_oracle():
+    farms = [("reference", reference_farm())]
+    for k, doc in enumerate(tier1_random_maps()):
+        try:
+            farms.append((f"random {k}", load_map(doc)))
+        except MapSchemaError:
+            pass
+    maps = graphs = tall = 0
+    for name, farm in farms:
+        waypoints = generate_waypoints(farm)
+        checked = 0
+        for g in sweep_graphs(farm, waypoints):
+            expect = oracles.serpentine_order(
+                g.xy[:-1].tolist(), [waypoints.row_col(i) for i in g.waypoint_grid_ids],
+                [(p.x, p.y) for p in waypoints.points], g.xy[g.home].tolist())
+            assert _serpentine_targets(g, waypoints) == expect, (name, g.waypoint_grid_ids)
+            checked += 1
+        maps += checked > 0
+        graphs += checked
+        first, last = waypoints.points[0], waypoints.points[-1]
+        tall += checked > 0 and last.x - first.x < last.y - first.y
+    # the full graph and two halves a map on average, and tall grids among them
+    assert maps >= 200 and graphs >= 3 * maps and tall >= 20, (maps, graphs, tall)

@@ -43,6 +43,16 @@ def test_validate_ok(farm_file, capsys):
     assert "waypoints: 16 valid of 16" in out
 
 
+def test_validate_counts_the_edges_of_each_station_graph(capsys):
+    assert main(["validate", REFERENCE_MAP]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "station 0: graph ok, 38 nodes, 404 edges" in lines
+    assert "station 1: graph ok, 38 nodes, 401 edges" in lines
+    farm = load_map_file(REFERENCE_MAP)
+    waypoints = generate_waypoints(farm)
+    assert [len(build_graph(farm, waypoints, k).edges()) for k in (0, 1)] == [404, 401]
+
+
 def test_validate_schema_error_exits_2(tmp_path, capsys):
     p = write_map(tmp_path / "bad.json", stations="oops")
     assert main(["validate", p]) == 2

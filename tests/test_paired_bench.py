@@ -18,10 +18,12 @@ def bench():
     return module
 
 
-def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests=None):
+def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests=None,
+             metric="run_s"):
     """measure() over len(parent) seeds, each run_once replaced by the next
-    value of its side; the change's last run carries correct and failed,
-    and digests, when given, are the change's per pair."""
+    value of its side for metric, the parent completing 2 rounds a run and
+    the change 8; the change's last run carries correct and failed, and
+    digests, when given, are the change's per pair."""
     values = {"parent": iter(parent), "change": iter(change)}
     last = len(change) - 1
     seen = {"parent": 0, "change": 0}
@@ -31,7 +33,7 @@ def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests
         k = seen[side]
         seen[side] = k + 1
         at_last = side == "change" and k == last
-        return {"metrics": {"run_s": next(values[side])},
+        return {"metrics": {metric: next(values[side])},
                 "digest": digests[k] if side == "change" and digests else f"d{seed}",
                 "rounds": 2 if side == "parent" else 8,
                 "attempted": 10, "failed": failed if at_last else 0,
@@ -58,6 +60,32 @@ def test_each_run_records_the_rounds_perfbench_completed(bench, monkeypatch):
     assert (run["rounds"], run["digest"], run["metrics"]) == (7, "95ac717afe0c8ef3", {"run_s": 1.5})
     result = measured(bench, monkeypatch, [2.0] * 3, [1.0] * 3)
     assert result["workloads"]["w"]["rounds"] == {"parent": [2, 2, 2], "change": [8, 8, 8]}
+    assert result["workloads"]["w"]["rounds_median"] == {"parent": 2, "change": 8}
+
+
+def test_the_median_rounds_skip_runs_whose_output_did_not_name_them(bench):
+    assert bench.median_rounds([{"rounds": 3}, {"rounds": None}, {"rounds": 6}]) == 4.5
+    assert bench.median_rounds([{"rounds": None}]) is None
+
+
+def test_a_flagged_peak_rss_shows_the_median_rounds_beside_it(bench, monkeypatch, capsys):
+    parent = [40.0 + 0.01 * k for k in range(10)]
+    wide = [34.0, 36.0, 36.0, 36.0, 40.0, 40.0, 44.0, 44.0, 44.0, 46.0]  # IQR 8 > 0.1 x 40
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    cases = {  # name: (parent runs, change runs)
+        "grew": (parent, [1.2 * p for p in parent]),
+        "spread": (wide, wide),
+        "steady": (parent, parent),
+    }
+    result = {"workloads": {
+        name: measured(bench, monkeypatch, p, c, metric="peak_rss_mb")["workloads"]["w"]
+        for name, (p, c) in cases.items()}}
+    bench.regressions(result, spec)
+    bench.report(result)
+    err = capsys.readouterr().err.splitlines()
+    assert "peak_rss_mb regressed on grew: median 40.045 -> 48.054 MB over 2.0 -> 8.0 rounds" in err
+    assert "peak_rss_mb unresolved on spread: median 40 -> 40 MB over 2.0 -> 8.0 rounds" in err
+    assert not [line for line in err if "steady" in line]
 
 
 def test_a_clear_gain_on_correct_runs_is_met(bench, monkeypatch):

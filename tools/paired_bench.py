@@ -13,8 +13,10 @@ output records, per workload and end-to-end metric, each side's median and
 quartiles, the raw runs in pair order, change_lower (pairs in which the
 change read lower) and ties, with every run's digest and correctness, and
 same_tours (every seed's change digest equals the parent's), and rounds, the
-rounds each run completed (perfbench keeps every round's plans to the end
-of a run, so peak_rss_mb grows with them). Every run
+rounds each run completed, and rounds_median, their median per side
+(perfbench keeps every round's plans to the end of a run, so peak_rss_mb
+grows with them; where peak_rss_mb regressed or is unresolved, stderr prints
+those medians beside it). Every run
 also records, per workload and end-to-end metric, regressed: the change's
 median is worse than the parent's by more than the metric's BENCHMARK.json
 bound, a share of the parent's median, in the metric's better direction;
@@ -78,6 +80,13 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def median_rounds(runs: list[dict]) -> float | None:
+    """The median of the rounds the runs completed, None when no run's
+    output named them."""
+    rounds = [r["rounds"] for r in runs if r["rounds"] is not None]
+    return statistics.median(rounds) if rounds else None
+
+
 def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict:
     runs = {side: [] for side in SIDES}
     first = {}
@@ -102,6 +111,7 @@ def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict
         "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
+        "rounds_median": {side: median_rounds(runs[side]) for side in SIDES},
         "metrics": metrics,
         "digests": digests,
         "same_tours": digests["parent"] == digests["change"],
@@ -151,6 +161,23 @@ def regressions(result: dict, spec: dict) -> None:
                                       for m in w["metrics"].values())
 
 
+def report(result: dict) -> None:
+    """Print no_regression, each workload's unresolved metrics and, where
+    peak_rss_mb regressed or is unresolved, the median rounds per side."""
+    print(f"no_regression: {result['no_regression']}", file=sys.stderr)
+    for workload, w in result["workloads"].items():
+        unresolved = [name for name, m in w["metrics"].items() if m.get("unresolved")]
+        if unresolved:
+            print(f"unresolved on {workload}: {', '.join(unresolved)}", file=sys.stderr)
+        rss = w["metrics"].get("peak_rss_mb", {})
+        flags = [flag for flag in ("regressed", "unresolved") if rss.get(flag)]
+        if flags:
+            rounds = w.get("rounds_median", {})  # absent in files older than the field
+            print(f"peak_rss_mb {' and '.join(flags)} on {workload}: median "
+                  f"{rss['parent']['median']:g} -> {rss['change']['median']:g} MB over "
+                  f"{rounds.get('parent')} -> {rounds.get('change')} rounds", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -190,11 +217,7 @@ def main(argv=None) -> int:
         result["claim"] = claim(result, workload, metric, better)
         print(json.dumps(result["claim"]), file=sys.stderr)
     regressions(result, spec)
-    print(f"no_regression: {result['no_regression']}", file=sys.stderr)
-    for workload, w in result["workloads"].items():
-        unresolved = [name for name, m in w["metrics"].items() if m.get("unresolved")]
-        if unresolved:
-            print(f"unresolved on {workload}: {', '.join(unresolved)}", file=sys.stderr)
+    report(result)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
