@@ -135,18 +135,12 @@ def point_segment_distance(p: Point2D, a: Point2D, b: Point2D) -> float:
     return math.hypot(apx - t * abx, apy - t * aby)
 
 
-def _sides(corners: tuple[Point2D, ...]) -> tuple[tuple[Point2D, Point2D], ...]:
-    """A rectangle's edges as corner pairs, in the order of its corners."""
-    return tuple(zip(corners, corners[1:] + corners[:1]))
-
-
 def point_clearance(p: Point2D, obstacle: Obstacle) -> float:
     """Distance from p to the obstacle region; 0 when p touches or lies inside."""
     if isinstance(obstacle, Circle):
         return max(0.0, distance(p, obstacle.center) - obstacle.radius)
-    if obstacle.contains(p):
-        return 0.0
-    return min(point_segment_distance(p, q, r) for q, r in _sides(obstacle.corners()))
+    lo, hi = obstacle.min_corner, obstacle.max_corner
+    return math.hypot(max(lo.x - p.x, 0.0, p.x - hi.x), max(lo.y - p.y, 0.0, p.y - hi.y))
 
 
 def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
@@ -157,19 +151,14 @@ def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
     if isinstance(obstacle, Circle):
         d = point_segment_distance(obstacle.center, seg.a, seg.b)
         return max(0.0, d - obstacle.radius)
-    # rectangle: an endpoint inside or a crossing of an edge means contact;
-    # otherwise the nearest approach is from an endpoint to an edge or from a
-    # corner to the segment
+    # rectangle: a leg that crosses no edge lies clear of the box or inside
+    # it, and comes nearest at an endpoint or where a corner nears the leg
     a, b = seg.a, seg.b
-    if obstacle.contains(a) or obstacle.contains(b):
-        return 0.0
     corners = obstacle.corners()
-    sides = _sides(corners)
-    if any(segments_intersect(a, b, p, q) for p, q in sides):
+    if any(segments_intersect(a, b, p, q) for p, q in zip(corners, corners[1:] + corners[:1])):
         return 0.0
-    return min([point_segment_distance(a, p, q) for p, q in sides]
-               + [point_segment_distance(b, p, q) for p, q in sides]
-               + [point_segment_distance(c, a, b) for c in corners])
+    return min(point_clearance(a, obstacle), point_clearance(b, obstacle),
+               *(point_segment_distance(c, a, b) for c in corners))
 
 
 def obstacle_boxes(obstacles: Sequence[Obstacle]) -> np.ndarray:
@@ -199,16 +188,17 @@ def near_boxes(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray, need: float) -
     # arithmetic a gap past need would do. The margin covers rounding. Let
     # scale be the largest magnitude in play (coordinates, box bounds, need).
     # Each difference of two coordinates the exact test forms (at most
-    # 2·scale) is off by at most ulp(scale); its point-to-segment distances,
-    # the radius it subtracts and the box bounds here add a few ulps each, so
-    # its clearance sits within a few tens of ulp(scale) of the true one. A
+    # 2·scale) is off by at most ulp(scale). A point's distance to a rectangle
+    # is two such differences and one hypot; a point-to-leg distance, a
+    # circle's radius and the box bounds here add a few ulps each, so a
+    # clearance sits within a few tens of ulp(scale) of the true one. A
     # rectangle's sides are axis-aligned, so two of the four orientations in
     # its crossing test have exact signs, and the other two can flip only for
     # a leg within about 2^-48·scale of the rectangle. 4 096 ulp(scale), at
-    # most 9.1e-13·scale (3.8e-6 m at UTM-sized coordinates of 5e6 m), covers both
-    # with wide room. The argument needs the exact test's products of
-    # differences, up to 8·scale², to stay finite: past that every obstacle
-    # is near and the exact test decides.
+    # most 9.1e-13·scale (3.8e-6 m at UTM-sized coordinates of 5e6 m), covers
+    # both with wide room. The argument needs the exact test's products of
+    # differences, up to 8·scale², to stay finite: past that every obstacle is
+    # near and the exact test decides.
     scale = float(max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0),
                       np.abs(boxes).max(initial=0.0), need))
     reach = need + 4096 * math.ulp(scale) if 8 * scale * scale < math.inf else math.inf

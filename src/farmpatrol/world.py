@@ -228,13 +228,11 @@ def load_map(document: str | bytes | dict) -> FarmMap:
             f"grid points over the perimeter")
 
     need = farm.clear_m
-    xy = np.array([[st.x, st.y] for st in stations]).reshape(-1, 2)  # (0, 2) for none
-    near = near_boxes(xy, xy, obstacle_boxes(obstacles), need)
     for i, st in enumerate(stations):
         if not farm.contains(st):
             raise MapSchemaError(f"stations[{i}]: outside perimeter")
-        for j in np.flatnonzero(near[i]).tolist():  # the others are clear
-            d = point_clearance(st, obstacles[j])
+        for j, obstacle in enumerate(obstacles):
+            d = point_clearance(st, obstacle)
             if d < need:
                 gap = f"{d:.2f} m < {clearance:.2f} m from" if d > 0 else "touches or lies inside"
                 raise MapSchemaError(
@@ -249,20 +247,22 @@ def load_map_file(path) -> FarmMap:
 def generate_waypoints(farm: FarmMap) -> WaypointSet:
     """Lay a square grid of waypoints over the perimeter.
 
-    Points sit at min_corner + (col * spacing, row * spacing), kept while they
-    stay inside the perimeter (boundary inclusive). Validity requires at least
-    farm.clear_m of distance to every obstacle; exact equality counts as valid
-    when clearance_m > 0.
+    Points sit at min_corner + (col * spacing, row * spacing), each coordinate
+    clamped to the max corner, so every point lies inside the perimeter
+    (boundary inclusive) even where float drift would lay the last row or
+    column just past it. Validity requires at least farm.clear_m of distance
+    to every obstacle; exact equality counts as valid when clearance_m > 0.
     """
     s = farm.grid_spacing_m
     need = farm.clear_m
+    pmin, pmax = farm.perimeter_min, farm.perimeter_max
     n_rows, n_cols = _grid_shape(farm)
     boxes = obstacle_boxes(farm.obstacles)
     points = []
     valid = []
     for row in range(n_rows):
-        line = [Point2D(farm.perimeter_min.x + col * s, farm.perimeter_min.y + row * s)
-                for col in range(n_cols)]
+        y = min(pmin.y + row * s, pmax.y)
+        line = [Point2D(min(pmin.x + col * s, pmax.x), y) for col in range(n_cols)]
         xy = np.array([[p.x, p.y] for p in line])
         near = near_boxes(xy, xy, boxes, need)  # one screen per grid row
         for p, hits in zip(line, near):

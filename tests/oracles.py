@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written from first principles with different formulas than
-the library (clamp-based point distances, dense sampling plus ternary-search
+the library (edge-by-edge point distances, dense sampling plus ternary-search
 refinement, exhaustive permutation search) so agreement is meaningful.
 """
 
@@ -15,11 +15,24 @@ def point_circle_clearance(px, py, cx, cy, r):
     return max(0.0, math.hypot(px - cx, py - cy) - r)
 
 
+def _interval_distance(u, v, lo, hi, w):
+    """Distance from (u, v) to the interval lo <= u' <= hi of the line v' = w:
+    a drop onto it when u lies over it, else the distance to its nearer end."""
+    if u < lo:
+        return math.hypot(lo - u, v - w)
+    if u > hi:
+        return math.hypot(u - hi, v - w)
+    return abs(v - w)
+
+
 def point_rect_clearance(px, py, xmin, ymin, xmax, ymax):
-    # clamp formula: distance from the point to the nearest point of the box
-    dx = max(xmin - px, 0.0, px - xmax)
-    dy = max(ymin - py, 0.0, py - ymax)
-    return math.hypot(dx, dy)
+    # 0 inside or on the boundary; otherwise the nearest of the four edges
+    if xmin <= px <= xmax and ymin <= py <= ymax:
+        return 0.0
+    return min(_interval_distance(px, py, xmin, xmax, ymin),
+               _interval_distance(px, py, xmin, xmax, ymax),
+               _interval_distance(py, px, ymin, ymax, xmin),
+               _interval_distance(py, px, ymin, ymax, xmax))
 
 
 def segment_clearance(ax, ay, bx, by, point_fn, samples=512, refine=200):

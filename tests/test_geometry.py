@@ -124,7 +124,19 @@ def test_point_clearance():
     assert point_clearance(P(5, 0), circ) == 3.0
 
 
-def test_point_clearance_on_rects_matches_clamp_oracle():
+# a point a hair outside a rectangle, 1e-12 m and 2.66e-144 m off a side and
+# off a corner, and the far end of a leg from it that leads away: (point,
+# far end, rectangle)
+HAIRLINE = [
+    ((41.3 + 1e-12, 14.5), (60.0, 14.5), (3.7, 1.9, 41.3, 27.1)),
+    ((41.3 + 1e-12, 27.1 + 1e-12), (60.0, 40.0), (3.7, 1.9, 41.3, 27.1)),
+    ((0.0015, 0.0), (0.0015, -0.001), (0.001, 2.66e-144, 0.002, 0.001)),
+    ((0.001, 0.0), (0.0, -0.001), (0.001, 2.66e-144, 0.002, 0.001)),
+    ((-2.66e-144, -2.66e-144), (-1.0, -1.0), (0.0, 0.0, 1.0, 1.0)),
+]
+
+
+def test_point_clearance_on_rects_matches_edge_oracle():
     def check(px, py, x0, y0, x1, y1):
         want = oracles.point_rect_clearance(px, py, x0, y0, x1, y1)
         got = point_clearance(P(px, py), Rect(P(x0, y0), P(x1, y1)))
@@ -141,8 +153,9 @@ def test_point_clearance_on_rects_matches_clamp_oracle():
         for px in xs:
             for py in ys:
                 check(px, py, x0, y0, x1, y1)
-    # clear of the corner by far less than an ulp of the sides: not touching
-    check(0.001, 0.0, 0.001, 2.66e-144, 0.002, 0.001)
+    # clear of a side or corner by far less than an ulp of the sides: not touching
+    for p, _, rect in HAIRLINE:
+        check(*p, *rect)
 
 
 def test_min_clearance_keeps_an_offset_below_an_ulp_of_the_leg():
@@ -152,6 +165,12 @@ def test_min_clearance_keeps_an_offset_below_an_ulp_of_the_leg():
                         Rect(P(0.001, 2.66e-144), P(0.002, 0.001)))
     assert want == 2.66e-144
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # a leg that leads away from a point a hair outside
+    for (px, py), (qx, qy), rect in HAIRLINE:
+        want = oracles.seg_rect_clearance(px, py, qx, qy, *rect)
+        got = min_clearance(Segment2D(P(px, py), P(qx, qy)), Rect(P(*rect[:2]), P(*rect[2:])))
+        assert want == oracles.point_rect_clearance(px, py, *rect) > 0.0
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_shape_validation():

@@ -70,11 +70,11 @@ def test_the_median_rounds_skip_runs_whose_output_did_not_name_them(bench):
 
 def test_a_flagged_peak_rss_shows_the_median_rounds_beside_it(bench, monkeypatch, capsys):
     parent = [40.0 + 0.01 * k for k in range(10)]
-    wide = [34.0, 36.0, 36.0, 36.0, 40.0, 40.0, 44.0, 44.0, 44.0, 46.0]  # IQR 8 > 0.1 x 40
+    wide = [34.0, 36.0, 36.0, 36.0, 40.0, 40.0, 44.0, 44.0, 44.0, 46.0]
     spec = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
     cases = {  # name: (parent runs, change runs)
         "grew": (parent, [1.2 * p for p in parent]),
-        "spread": (wide, wide),
+        "spread": (wide, wide[::-1]),  # pair ratios 0.74 to 1.35
         "steady": (parent, parent),
     }
     result = {"workloads": {
@@ -158,14 +158,15 @@ def test_a_median_worse_by_more_than_its_bound_regresses(bench, monkeypatch, bet
 @pytest.mark.parametrize("better", ["lower", "higher"])
 def test_a_spread_wider_than_the_bound_is_unresolved(bench, monkeypatch, better):
     # parent quartiles 1.8 and 2.2 about a median of 2.0: an IQR of 0.4, wider
-    # than the 0.1 x 2.0 bound
+    # than the 0.1 x 2.0 bound, as when each seed lays its own farm
     parent = [1.6, 1.8, 1.8, 1.8, 2.0, 2.0, 2.2, 2.2, 2.2, 2.4]
     spec = {"end_to_end": [{"name": "run_s", "better": better, "bound": 0.1}]}
     sign = 1 if better == "lower" else -1
     narrow = [2.0 + 0.001 * k for k in range(10)]
     cases = {  # name: (parent runs, change runs)
-        "same": (parent, parent),
-        "better in every run": (parent, [2.0 - sign * 1.0] * 10),
+        "shuffled": (parent, parent[::-1]),  # pair ratios 0.67 to 1.5
+        "better in every pair": (parent, [2.0 - sign * (0.5 + k % 2) for k in range(10)]),
+        "tight ratios": (parent, [1.02 * p for p in parent]),
         "narrow": (narrow, narrow),
     }
     result = {"workloads": {
@@ -173,7 +174,24 @@ def test_a_spread_wider_than_the_bound_is_unresolved(bench, monkeypatch, better)
         for name, (p, c) in cases.items()}}
     bench.regressions(result, spec)
     got = {name: w["metrics"]["run_s"] for name, w in result["workloads"].items()}
-    assert got["same"]["unresolved"] and not got["same"]["regressed"]
-    assert not got["better in every run"]["unresolved"]
-    assert not got["narrow"]["unresolved"]  # parent IQR 0.0045 < 0.1 x 2.0045
+    assert got["shuffled"]["unresolved"] and not got["shuffled"]["regressed"]
+    assert got["shuffled"]["ratio"]["q3"] - got["shuffled"]["ratio"]["q1"] > 0.1
+    # ratios 0.21 to 0.94 (lower) or 1.14 to 1.94 (higher), each pair better
+    better_ratio = got["better in every pair"]["ratio"]
+    assert better_ratio["q3"] - better_ratio["q1"] > 0.1
+    assert not got["better in every pair"]["unresolved"]
+    assert not got["tight ratios"]["unresolved"]  # every ratio 1.02
+    assert got["tight ratios"]["ratio"] == pytest.approx({"median": 1.02, "q1": 1.02, "q3": 1.02})
+    assert not got["narrow"]["unresolved"]
     assert result["no_regression"]  # unresolved is not regressed
+
+
+def test_pairs_whose_parent_reads_zero_have_no_ratio(bench, monkeypatch):
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.1}]}
+    result = {"workloads": {
+        "some": measured(bench, monkeypatch, [0.0, 1.0, 2.0], [5.0, 1.0, 2.0])["workloads"]["w"],
+        "none": measured(bench, monkeypatch, [0.0] * 3, [0.0] * 3)["workloads"]["w"]}}
+    bench.regressions(result, spec)
+    some, none = (result["workloads"][k]["metrics"]["run_s"] for k in ("some", "none"))
+    assert some["ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0} and not some["unresolved"]
+    assert none["ratio"] is None and not none["unresolved"]

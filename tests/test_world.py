@@ -160,6 +160,17 @@ def test_grid_boundary_inclusive():
     assert (w.n_rows, w.n_cols) == (2, 3)
 
 
+def test_grid_points_lie_inside_the_perimeter_despite_float_drift():
+    # 0.3 / 0.1 reads 2.9999999999999996, so the tolerance lays a fourth row
+    # and column, and 3 * 0.1 is 0.30000000000000004
+    farm = load_map({"perimeter": {"min": [0, 0], "max": [0.3, 0.3]}, "stations": [],
+                     "grid_spacing_m": 0.1})
+    w = generate_waypoints(farm)
+    assert (w.n_rows, w.n_cols) == (4, 4)
+    assert all(farm.contains(p) for p in w.points)
+    assert {p.x for p in w.points} == {p.y for p in w.points} == {0.0, 0.1, 0.2, 0.3}
+
+
 def test_reference_farm_shape():
     m = reference_farm()
     assert (m.width, m.height) == (300.0, 175.0)

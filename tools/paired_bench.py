@@ -20,9 +20,13 @@ those medians beside it). Every run
 also records, per workload and end-to-end metric, regressed: the change's
 median is worse than the parent's by more than the metric's BENCHMARK.json
 bound, a share of the parent's median, in the metric's better direction;
-unresolved: the parent's interquartile range is wider than that bound times
-its median, and not every change run is better than every parent run; and
-no_regression: no metric regressed on any workload. With
+ratio: the median and quartiles of the per-pair change/parent ratios, over
+the pairs whose parent does not read 0 (None when every parent reads 0);
+unresolved: the interquartile range of those ratios is wider than the
+bound, and the change was not better in every pair (each seed lays its own
+farm on some workloads, so the parent's own spread across seeds measures
+the farms, not the noise); and no_regression: no metric regressed on any
+workload. With
 --claim W:metric it adds whether the change beat the parent in at least nine
 of ten pairs, in the direction BENCHMARK.json gives, and by more than the
 parent's interquartile range in the median; a claim on a workload with an
@@ -139,12 +143,12 @@ def claim(result: dict, workload: str, metric: str, better: str) -> dict:
 
 
 def regressions(result: dict, spec: dict) -> None:
-    """Set regressed and unresolved on every end-to-end metric of every
-    workload in result, from the bounds and directions of spec
+    """Set ratio, regressed and unresolved on every end-to-end metric of
+    every workload in result, from the bounds and directions of spec
     (BENCHMARK.json), and no_regression on result. A metric is unresolved
-    when the parent's interquartile range is wider than the bound times the
-    parent's median, unless every change run is better than every parent
-    run: its spread hides a change the size of the bound."""
+    when the interquartile range of its per-pair change/parent ratios is
+    wider than the bound, unless the change was better in every pair: that
+    spread hides a change the size of the bound."""
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     for w in result["workloads"].values():
         for name, m in w["metrics"].items():
@@ -153,10 +157,11 @@ def regressions(result: dict, spec: dict) -> None:
                 sign = 1 if end_to_end[name]["better"] == "lower" else -1  # worse reads higher
                 parent = m["parent"]["median"]
                 m["regressed"] = sign * (m["change"]["median"] - parent) > bound * parent
-                every_run_better = (max(sign * v for v in m["change_runs"])
-                                    < min(sign * v for v in m["parent_runs"]))
-                iqr = m["parent"]["q3"] - m["parent"]["q1"]
-                m["unresolved"] = iqr > bound * parent and not every_run_better
+                pairs = list(zip(m["parent_runs"], m["change_runs"]))
+                ratios = [c / p for p, c in pairs if p != 0]
+                ratio = m["ratio"] = spread(ratios) if ratios else None
+                m["unresolved"] = (ratio is not None and ratio["q3"] - ratio["q1"] > bound
+                                   and not all(sign * (c - p) < 0 for p, c in pairs))
     result["no_regression"] = not any(m.get("regressed") for w in result["workloads"].values()
                                       for m in w["metrics"].values())
 
