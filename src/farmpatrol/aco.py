@@ -29,9 +29,10 @@ the candidate rows of as many pairs as fit and a step computes the others.
 Within each path the budget changes speed and memory, never a tour; a graph
 that crosses it changes path, and so tours. Each ant picks its option
 against the running sum of its weights, whose last column is the row
-total; a step does extra work only when some ant has no positive total
-(a hop, a strand or a rescue). An infinite weight takes its limit per
-ant, so no ant's choice depends on the others in its batch.
+total; a step does extra work only for the ants with no positive total,
+which it rescues when they have a feasible option and otherwise hops or
+strands. An infinite weight takes its limit per ant, so no ant's choice
+depends on the others in its batch.
 Every turn the colony weighs is energy.turns of two legs taken from the
 node coordinates, the formula tour_cost charges. _energy, aco's one call of
 energy.path_metrics, costs every walk with the arithmetic of tour_cost and
@@ -370,14 +371,14 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     clear neighbour (shortest leg, ties to the lower index), and still takes
     its uniform; with none it strands.
 
-    A step where some row total is 0 or nan repairs the whole batch (the
-    general branch): it zeroes nan weights, an infinite weight on a visited
-    node, and weighs equally the feasible options of a row whose options
-    all underflowed to 0. The candidate step skips it when no total is nan
-    and no ant with a zero total has an unvisited candidate: the visited
-    options then weigh exactly 0, and only the ants with every candidate
-    visited need work, a hop or a strand. A hop touches only the rows of
-    the ants that hop: their nodes replace their picks.
+    A step where some row total is not positive repairs only the ants
+    with no positive total, by one rule on both steps. A nan total (an
+    infinite weight on a visited node) first has the batch's nan weights
+    zeroed and its rows re-summed. An ant whose total is 0 and that has a
+    feasible option, an unvisited candidate or, on the full-row step, an
+    unvisited clear neighbour, weighs those options equally (the rescue).
+    Any other such ant hops off its list or strands. A hop touches only the
+    rows of the ants that hop: their nodes replace their picks.
     """
     n, home, cand, listed = space.n, space.home, space.cand, space.listed
     n_way = home
@@ -408,39 +409,35 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
         if not low > 0.0:
             # some row total is 0 (a dead end, or every option underflowed)
             # or nan (an infinite weight on a visited node)
-            empty = csum[:, -1] == 0.0
-            if not listed or np.isnan(low) or opts[empty].any():
-                # the general branch, over the whole batch
+            if np.isnan(low):
                 w[np.isnan(w)] = 0.0
                 csum = np.add.accumulate(w, axis=1)
-                empty = csum[:, -1] == 0.0
-                feas = opts > 0.0  # candidates are edges
-                if not listed:
-                    feas &= space.adj[cur]
-                rescue = empty & feas.any(axis=1)
-                if rescue.any():
-                    w[rescue] = feas[rescue]  # uniform fallback
-                    csum[rescue] = np.add.accumulate(w[rescue], axis=1)
-                    empty &= ~rescue
-            dead = empty  # with candidate lists: every candidate visited
-            if listed and dead.any():
-                # the nearest unvisited clear neighbour by leg length, if
-                # there is one (not by the scaled lambda * d, which
-                # underflows to 0 when lambda is far below gamma)
-                k = dead.nonzero()[0]
+            k = (csum[:, -1] == 0.0).nonzero()[0]  # the ants with no positive total
+            feas = opts.take(k, axis=0) > 0.0  # candidates are edges
+            if not listed:
+                feas &= space.adj.take(cur.take(k), axis=0)
+            some = feas.any(axis=1)
+            if some.any():
+                rescue = k[some]
+                w[rescue] = feas[some]  # uniform fallback
+                csum[rescue] = np.add.accumulate(w[rescue], axis=1)
+                k = k[~some]
+            if listed and k.size:
+                # every candidate visited: the nearest unvisited clear neighbour
+                # by leg length (lambda * d underflows when lambda << gamma)
                 at = cur.take(k)
                 near = np.where((free.take(k, axis=0) > 0.0) & space.adj.take(at, axis=0),
                                 space.dist.take(at, axis=0), np.inf)
                 found = near.min(axis=1) < np.inf
                 hop = k[found], near.argmin(axis=1)[found]
-                dead[hop[0]] = False
                 # a hopping ant's total is 0: at 1 its draw fits, and the hop
                 # replaces its pick
                 csum[hop[0], -1] = 1.0
-            if dead.any():
-                paths[ids[dead]] = walk[dead]
-                lengths[ids[dead]] = step
-                keep = ~dead
+                k = k[~found]
+            if k.size:
+                paths[ids[k]] = walk[k]
+                lengths[ids[k]] = step
+                keep = np.bincount(k, minlength=ids.size) == 0
                 ids, walk, free, cur, prev, w, csum = (
                     a[keep] for a in (ids, walk, free, cur, prev, w, csum))
                 if listed:

@@ -223,12 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_arg(p)
     p.set_defaults(func=cmd_validate)
 
+    seed_help = f"colony seed (default: $GUARD_SEED, then {DEFAULT_SEED})"
     p = sub.add_parser("plan", help="plan a coverage tour")
     _add_map_arg(p)
     p.add_argument("--solver", choices=sorted(_SOLVER_NAMES), default="as")
     p.add_argument("--drones", type=int, choices=(1, 2), default=1)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"colony seed (default: $GUARD_SEED, then {DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.add_argument("--out", default="tour.json", help="path export file")
     p.add_argument("--svg", default=None, help="also render the plan to SVG")
     _add_model_args(p)
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=sorted(_SOLVER_NAMES), default=None,
                    help="also plan and draw a tour")
     p.add_argument("--drones", type=int, choices=(1, 2), default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
     _add_model_args(p)
     _add_aco_args(p)
     p.set_defaults(func=cmd_render)

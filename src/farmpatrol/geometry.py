@@ -59,10 +59,6 @@ class Rect:
         if not (self.min_corner.x < self.max_corner.x and self.min_corner.y < self.max_corner.y):
             raise ValueError("rectangle must have positive extent on both axes")
 
-    def contains(self, p: Point2D) -> bool:
-        return (self.min_corner.x <= p.x <= self.max_corner.x
-                and self.min_corner.y <= p.y <= self.max_corner.y)
-
     def corners(self) -> tuple[Point2D, Point2D, Point2D, Point2D]:
         """Corners in counter-clockwise order starting at min_corner."""
         lo, hi = self.min_corner, self.max_corner

@@ -234,9 +234,10 @@ def load_map(document: str | bytes | dict) -> FarmMap:
         for j, obstacle in enumerate(obstacles):
             d = point_clearance(st, obstacle)
             if d < need:
-                gap = f"{d:.2f} m < {clearance:.2f} m from" if d > 0 else "touches or lies inside"
-                raise MapSchemaError(
-                    f"stations[{i}]: station violates clearance ({gap} obstacles[{j}])")
+                # .3g never prints a positive shortfall as 0
+                gap = (f"{d:.3g} m from obstacles[{j}], {clearance - d:.3g} m short of "
+                       f"{clearance:.3g} m" if d > 0 else f"touches or lies inside obstacles[{j}]")
+                raise MapSchemaError(f"stations[{i}]: station violates clearance ({gap})")
     return farm
 
 

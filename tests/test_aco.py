@@ -749,7 +749,7 @@ def test_construct_tour_on_infinite_trails_takes_only_unvisited_neighbours():
         assert abs(counts[leaf] / 10_000 - 1 / 3) < 0.02
 
 
-def test_an_ants_limit_choice_does_not_depend_on_its_batch():
+def test_an_ants_limit_choice_does_not_depend_on_its_batch(monkeypatch):
     # lambda so small that eta^3 overflows on every straight hop: a row whose
     # total is infinite takes the limit, its infinite options weighing 1,
     # whether or not another ant's row holds a nan (an infinite weight on a
@@ -764,6 +764,21 @@ def test_an_ants_limit_choice_does_not_depend_on_its_batch():
     walks = [construct_tours(g, tau, m=m, draw=draw, model=EnergyModel(1e-320, 0.0173))[0]
              for m in (1, 2, 5)]
     assert walks[0][1] and walks[0] == walks[1] == walks[2]
+    # trails of 0: every option weighs 0, so each ant weighs its feasible
+    # options equally (the rescue) on either step, and ant 0 walks the same
+    # while other ants of its batch strand
+    g = random_graph(25, 2, keep=0.2)
+    for listed in (False, True):
+        rng = np.random.default_rng(1)
+        with monkeypatch.context() as patch:
+            if listed:
+                patch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 40))
+            assert aco._Space(g, MODEL, 3.0).listed == listed
+            walks = [construct_tours(g, np.zeros((g.n_nodes, g.n_nodes)), m=m, draw=draw)
+                     for m in (1, 2, 5)]
+        ant0 = walks[0][0][0]
+        assert len(ant0) > 10 and ant0 == walks[1][0][0] == walks[2][0][0]
+        assert any(not closed and len(nodes) < len(ant0) for nodes, closed in walks[2][1:])
 
 
 def test_finite_weights_whose_total_overflows_keep_their_proportions():

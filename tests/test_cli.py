@@ -325,10 +325,13 @@ def test_an_unparsable_command_line_is_one_error_line(farm_file, capsys, flags):
 
 
 def test_help_prints_usage_and_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["plan", "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: farmpatrol plan")
+    for command in ("plan", "render"):  # both fall back to $GUARD_SEED
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: farmpatrol {command}")
+        assert "GUARD_SEED" in out
 
 
 def test_plan_on_a_map_without_stations_exits_4(tmp_path, capsys):

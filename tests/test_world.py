@@ -95,6 +95,16 @@ def test_station_inside_obstacle_rejected():
         load_map(doc)
 
 
+def test_station_clearance_error_shows_the_violation():
+    # 0.0004 m from a circle with clearance_m 0.001: at two decimals both
+    # numbers would read 0.00
+    doc = minimal_doc(obstacles=[{"type": "circle", "center": [5.0004, 0], "radius": 5}],
+                      clearance_m=0.001)
+    with pytest.raises(MapSchemaError, match=r"station violates clearance \(0\.0004 m from "
+                                             r"obstacles\[0\], 0\.0006 m short of 0\.001 m\)"):
+        load_map(doc)
+
+
 def test_zero_clearance_never_admits_contact():
     # at clearance 0 a waypoint or station inside an obstacle, or on its
     # boundary, is still not clear
