@@ -27,12 +27,14 @@ its node, its _CANDIDATES nearest clear neighbours (candidate lists, Dorigo
 unvisited clear neighbour when every candidate is visited; the table holds
 the candidate rows of as many pairs as fit and a step computes the others.
 Within each path the budget changes speed and memory, never a tour; a graph
-that crosses it changes path, and so tours. Each ant picks its option
-against the running sum of its weights, whose last column is the row
-total; a step does extra work only for the ants with no positive total,
-which it rescues when they have a feasible option and otherwise hops or
-strands. An infinite weight takes its limit per ant, so no ant's choice
-depends on the others in its batch.
+that crosses it changes path, and so tours. One rule picks for every ant:
+the first option whose running sum of weights passes its uniform times the
+row total, the running sum's last column. The special cases only rewrite
+an ant's running sum before that pick: a rescue (weights that all
+underflowed) counts the feasible options, an off-list hop makes its node
+the only option, and a total the draw does not fit takes its limit or a
+power-of-two scale. Only an ant that strands leaves the batch, and no
+ant's choice depends on the others in its batch.
 Every turn the colony weighs is energy.turns of two legs taken from the
 node coordinates, the formula tour_cost charges. _energy, aco's one call of
 energy.path_metrics, costs every walk with the arithmetic of tour_cost and
@@ -89,6 +91,8 @@ from .energy import EnergyModel, Tour, path_metrics, tour_cost, turns
 from .routegraph import RouteGraph, pair_distances
 
 MAX_DEFAULT_ANTS = 50
+# each variant's evaporation rate when AcoParams.rho is None
+DEFAULT_RHO = {"AS": 0.5, "MMAS": 0.05}
 # bytes of eta^beta rows a solve keeps (_Space.table), about the size of
 # every (h, i) row of an 80-node graph
 _ROW_TABLE_BYTES = 4 << 20
@@ -105,11 +109,11 @@ class AcoParams:
     takes it from nearest_neighbour_cost, the greedy tour's cost."""
 
     variant: str = "AS"
-    n_ants: int | None = None          # default: one per waypoint, capped at 50
+    n_ants: int | None = None          # default: one per waypoint, at most MAX_DEFAULT_ANTS
     n_iterations: int = 300
     alpha: float = 1.0
     beta: float = 3.0
-    rho: float | None = None           # default 0.5 for AS, 0.05 for MMAS
+    rho: float | None = None           # default: DEFAULT_RHO[variant]
     seed: int = 0
 
     def __post_init__(self):
@@ -357,28 +361,27 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     into the weights. It shrinks only on a step where an ant strands, which
     is when that ant's walk is copied out.
 
-    An ant picks the first option whose running sum of weights exceeds its
-    uniform times the row total, the running sum's last column. A row whose
-    total is infinite takes the limit: its infinite options weigh 1, the
-    others 0. A row of finite weights whose total overflows, or is so small
-    that the draw rounds up to it, is scaled by a power of two. So each
-    ant's choice depends on its own row alone.
+    One rule picks every ant's next option: the first whose running sum of
+    weights, csum, exceeds r, the ant's uniform times its row total (the
+    last column). Each special case rewrites the ant's csum row before that
+    pick, r following its new total, and only a strand leaves the batch. A
+    nan total (an infinite weight on a visited node) has the batch's nan
+    weights zeroed and its rows re-summed first. An ant whose total is 0 but
+    that has feasible options (unvisited candidates or, on the full-row
+    step, unvisited clear neighbours) takes their running count, so they
+    weigh equally (the rescue). A row whose total the draw does not fit
+    takes the running sum of its limit where it has an infinite weight
+    (infinite options weigh 1, the others 0), else of its weights scaled by
+    a power of two. So each ant's choice depends on its own row alone.
 
     On a graph with candidate lists (space.cand), a step weighs each ant's
     options only at its node's candidates, (m, width) slices of the same
     weights; the trails at the candidates are sliced once per batch. An ant
-    none of whose candidates is unvisited hops to its nearest unvisited
-    clear neighbour (shortest leg, ties to the lower index), and still takes
-    its uniform; with none it strands.
-
-    A step where some row total is not positive repairs only the ants
-    with no positive total, by one rule on both steps. A nan total (an
-    infinite weight on a visited node) first has the batch's nan weights
-    zeroed and its rows re-summed. An ant whose total is 0 and that has a
-    feasible option, an unvisited candidate or, on the full-row step, an
-    unvisited clear neighbour, weighs those options equally (the rescue).
-    Any other such ant hops off its list or strands. A hop touches only the
-    rows of the ants that hop: their nodes replace their picks.
+    with no positive total and no unvisited candidate hops off its list to
+    its nearest unvisited clear neighbour (shortest leg, ties to the lower
+    index): that node becomes its first and only option, at a running sum
+    of 1, so it still takes its uniform. An ant with no feasible option and
+    no such neighbour strands.
     """
     n, home, cand, listed = space.n, space.home, space.cand, space.listed
     n_way = home
@@ -398,14 +401,13 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
         w = space.eta_pow_rows(prev, cur)
         w *= tau_pow.take(cur, axis=0)
         if listed:
-            c = cand.take(cur, axis=0)  # each ant's options
+            c = cand.take(cur, axis=0)  # each ant's options, a copy that a hop rewrites
             opts = free[rows[:, None], c]
         else:
             opts = free  # the unvisited mask at each ant's options
         w *= opts
         csum = np.add.accumulate(w, axis=1)
         low = csum[:, -1].min()  # nan when any total is
-        hop = None  # with candidate lists: (rows, nodes) of the ants that hop off their lists
         if not low > 0.0:
             # some row total is 0 (a dead end, or every option underflowed)
             # or nan (an infinite weight on a visited node)
@@ -418,21 +420,20 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                 feas &= space.adj.take(cur.take(k), axis=0)
             some = feas.any(axis=1)
             if some.any():
-                rescue = k[some]
-                w[rescue] = feas[some]  # uniform fallback
-                csum[rescue] = np.add.accumulate(w[rescue], axis=1)
+                # the rescue: the running count of the ant's feasible options
+                csum[k[some]] = np.add.accumulate(feas[some], axis=1)
                 k = k[~some]
             if listed and k.size:
                 # every candidate visited: the nearest unvisited clear neighbour
                 # by leg length (lambda * d underflows when lambda << gamma)
+                # becomes the ant's only option
                 at = cur.take(k)
                 near = np.where((free.take(k, axis=0) > 0.0) & space.adj.take(at, axis=0),
                                 space.dist.take(at, axis=0), np.inf)
                 found = near.min(axis=1) < np.inf
-                hop = k[found], near.argmin(axis=1)[found]
-                # a hopping ant's total is 0: at 1 its draw fits, and the hop
-                # replaces its pick
-                csum[hop[0], -1] = 1.0
+                hops = k[found]
+                c[hops, 0] = near.argmin(axis=1)[found]
+                csum[hops] = 1.0  # its uniform fits, and the pick is column 0
                 k = k[~found]
             if k.size:
                 paths[ids[k]] = walk[k]
@@ -442,31 +443,27 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                     a[keep] for a in (ids, walk, free, cur, prev, w, csum))
                 if listed:
                     c = c[keep]
-                    if hop is not None:
-                        hop = np.cumsum(keep)[hop[0]] - 1, hop[1]  # the rows once compacted
                 rows = np.arange(ids.size)
                 if ids.size == 0:
                     break
         u = draw(ids.size)
         tot = csum[:, -1]
         r = u * tot
-        pick = (csum > r[:, None]).argmax(axis=1)
         fits = tot > r  # u * total < total for every normal total
         if not fits.all():
             # a row with an infinite weight takes the limit; one of finite
             # weights whose total overflowed or is subnormal is scaled,
             # exactly, to a largest weight in [0.5, 1); the ant keeps its
-            # uniform
+            # uniform against the new total
             k = np.nonzero(~fits)[0]
             wk = w[k]
             top = wk.max(axis=1)
             lim = np.where(np.isinf(top)[:, None], np.isinf(wk),
                            np.ldexp(wk, -np.frexp(top)[1][:, None]))
-            lsum = np.add.accumulate(lim, axis=1)
-            pick[k] = (lsum > (u[k] * lsum[:, -1])[:, None]).argmax(axis=1)
+            csum[k] = np.add.accumulate(lim, axis=1)
+            r[k] = u[k] * csum[k, -1]
+        pick = (csum > r[:, None]).argmax(axis=1)
         nxt = c[rows, pick] if listed else pick
-        if hop is not None:
-            nxt[hop[0]] = hop[1]
         free[rows, nxt] = 0.0
         walk[:, step] = nxt
         prev, cur = cur, nxt
@@ -607,9 +604,7 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
     n_ants = params.n_ants
     if n_ants is None:
         n_ants = max(1, min(g.n_waypoints, MAX_DEFAULT_ANTS))
-    rho = params.rho
-    if rho is None:
-        rho = 0.5 if params.variant == "AS" else 0.05
+    rho = DEFAULT_RHO[params.variant] if params.rho is None else params.rho
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in q or d
         space = _Space(g, model, params.beta)
         q = nearest_neighbour_cost(g, model, space)

@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .aco import AcoParams
+from .aco import DEFAULT_RHO, MAX_DEFAULT_ANTS, AcoParams
 from .energy import EnergyModel
 from .fleet import SOLVERS, PlanningError, plan_fleet
 from .harness import DEFAULT_SEED, BenchConfig, run_benchmark
@@ -198,9 +198,10 @@ def _add_aco_args(p):
     p.add_argument("--alpha", type=float, default=None, help="trail exponent")
     p.add_argument("--beta", type=float, default=None, help="heuristic exponent")
     p.add_argument("--rho", type=float, default=None,
-                   help="evaporation rate (default 0.5 AS, 0.05 MMAS)")
+                   help=f"evaporation rate (default {DEFAULT_RHO['AS']} AS, "
+                        f"{DEFAULT_RHO['MMAS']} MMAS)")
     p.add_argument("--ants", type=int, default=None,
-                   help="ants per iteration (default: one per waypoint, max 50)")
+                   help=f"ants per iteration (default: one per waypoint, max {MAX_DEFAULT_ANTS})")
     p.add_argument("--iterations", type=int, default=None, help="colony iterations")
 
 

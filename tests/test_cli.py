@@ -1,16 +1,19 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import farmpatrol.cli
 import farmpatrol.harness
-from farmpatrol.aco import AcoParams
+from farmpatrol.aco import AcoParams, solve
 from farmpatrol.cli import main
+from farmpatrol.energy import EnergyModel
 from farmpatrol.harness import BenchConfig
 from farmpatrol.routegraph import DisconnectedGraphError, build_graph
 from farmpatrol.world import generate_waypoints, load_map_file
@@ -332,6 +335,33 @@ def test_help_prints_usage_and_exits_0(capsys):
         out = capsys.readouterr().out
         assert out.startswith(f"usage: farmpatrol {command}")
         assert "GUARD_SEED" in out
+
+
+def test_help_names_the_colony_defaults_solve_uses(tmp_path, capsys):
+    # --rho and --ants say what solve does when they are left out
+    with pytest.raises(SystemExit):
+        main(["plan", "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    rhos = re.search(r"evaporation rate \(default ([^)]*)\)", out)[1]
+    rho = {variant: float(value) for value, variant in re.findall(r"([\d.]+) (\w+)", rhos)}
+    cap = int(re.search(r"one per waypoint, max (\d+)\)", out)[1])
+    assert sorted(rho) == ["AS", "MMAS"]
+    farm = load_map_file(write_map(tmp_path / "farm.json",
+                                   perimeter={"min": [0, 0], "max": [160, 160]}))
+    g = build_graph(farm, generate_waypoints(farm), 0)
+    assert g.n_waypoints > cap
+
+    def traced(**kw):
+        seen = []
+        solve(g, EnergyModel(), AcoParams(n_iterations=2, seed=1, **kw),
+              trace=lambda it, tau, bounds, ants: seen.append((tau, len(ants))))
+        return seen
+
+    for variant, value in rho.items():
+        left_out = traced(variant=variant)
+        named = traced(variant=variant, rho=value, n_ants=cap)
+        assert [ants for _, ants in left_out] == [cap, cap]
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(left_out, named, strict=True))
 
 
 def test_plan_on_a_map_without_stations_exits_4(tmp_path, capsys):
