@@ -17,7 +17,8 @@ neighbours, or that cannot close the loop back to home, yields an invalid
 tour and deposits nothing.
 
 solve is the only entry point. All ants of an iteration are constructed in
-lockstep on numpy arrays (_construct_batch). A step reads the eta^beta row
+lockstep on numpy arrays (_construct_batch), which writes each step's picks
+straight into the walks it returns. A step reads the eta^beta row
 of each ant's (previous node, node) pair from a table of at most
 _ROW_TABLE_BYTES (see _Space). When the full rows of every pair fit, as on
 the reference farm, the table holds them all and an ant weighs every
@@ -346,20 +347,21 @@ class _Uniforms:
 @np.errstate(invalid="ignore", over="ignore")
 def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                      draw: Callable[[int], np.ndarray]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run m ants in lockstep. Returns (paths, lengths, closed), row k for
-    ant k: ant k walked paths[k, :lengths[k]], and closed[k] means it visited
-    every waypoint and closed the loop at home (then lengths[k] is the full
-    row, n_waypoints + 2).
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Run m ants in lockstep. Returns (paths, lengths), row k for ant k:
+    ant k walked paths[k, :lengths[k]]. Its walk is closed, every waypoint
+    visited and the loop closed at home, exactly when it is the full row,
+    lengths[k] == n_waypoints + 2.
 
     draw(k) returns k uniforms in [0, 1). It is called once per construction
     step with k the number of ants still walking, whose draws are taken in
     ascending ant order, so results are reproducible for a given stream.
 
-    Only the walking ants' state is kept, compacted: node, previous node,
-    path so far and a 0/1 float mask of unvisited nodes that is multiplied
-    into the weights. It shrinks only on a step where an ant strands, which
-    is when that ant's walk is copied out.
+    paths starts filled with home, and each step writes the walking ants'
+    picks straight into it. Only the walking ants' state is kept,
+    compacted: ant number, node, previous node and a 0/1 float mask of
+    unvisited nodes that is multiplied into the weights. It shrinks only on
+    a step where an ant strands, which is when that ant's length is set.
 
     One rule picks every ant's next option: the first whose running sum of
     weights, csum, exceeds r, the ant's uniform times its row total (the
@@ -385,10 +387,9 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
     """
     n, home, cand, listed = space.n, space.home, space.cand, space.listed
     n_way = home
-    paths = np.empty((m, n_way + 2), dtype=np.int64)
+    paths = np.full((m, n_way + 2), home, dtype=np.int64)
     lengths = np.full(m, n_way + 1)
     ids = np.arange(m)  # ant number of each walking ant
-    walk = np.full((m, n_way + 2), home, dtype=np.int64)
     free = np.ones((m, n))
     free[:, home] = 0.0
     cur = np.full(m, home)
@@ -436,11 +437,9 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
                 csum[hops] = 1.0  # its uniform fits, and the pick is column 0
                 k = k[~found]
             if k.size:
-                paths[ids[k]] = walk[k]
                 lengths[ids[k]] = step
                 keep = np.bincount(k, minlength=ids.size) == 0
-                ids, walk, free, cur, prev, w, csum = (
-                    a[keep] for a in (ids, walk, free, cur, prev, w, csum))
+                ids, free, cur, prev, w, csum = (a[keep] for a in (ids, free, cur, prev, w, csum))
                 if listed:
                     c = c[keep]
                 rows = np.arange(ids.size)
@@ -465,14 +464,11 @@ def _construct_batch(space: _Space, m: int, tau_pow: np.ndarray,
         pick = (csum > r[:, None]).argmax(axis=1)
         nxt = c[rows, pick] if listed else pick
         free[rows, nxt] = 0.0
-        walk[:, step] = nxt
+        paths[ids, step] = nxt
         prev, cur = cur, nxt
 
-    paths[ids] = walk
-    closed = np.zeros(m, dtype=bool)
-    closed[ids] = space.adj[cur, home]
-    lengths[closed] = n_way + 2
-    return paths, lengths, closed
+    lengths[ids[space.adj[cur, home]]] = n_way + 2
+    return paths, lengths
 
 
 def _energy(space: _Space, walks: np.ndarray) -> float | np.ndarray:
@@ -649,7 +645,8 @@ def solve(g: RouteGraph, model: EnergyModel, params: AcoParams,
             np.ldexp(tau, -math.frexp(top)[1], out=tau_pow)
         if params.alpha != 1.0:
             np.power(tau_pow, params.alpha, out=tau_pow)
-        paths, lengths, closed = _construct_batch(space, n_ants, tau_pow, draw)
+        paths, lengths = _construct_batch(space, n_ants, tau_pow, draw)
+        closed = lengths == paths.shape[1]
         tours = paths[closed]
         costs = _energy(space, tours)
         if costs.size:

@@ -64,12 +64,6 @@ class BenchSummary:
     n_trials: int | None = None
     base_seed: int | None = None
 
-    def cell(self, solver: str, problem: str) -> CellSummary:
-        for c in self.cells:
-            if c.solver == solver and c.problem == problem:
-                return c
-        raise KeyError((solver, problem))
-
     def to_json_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,

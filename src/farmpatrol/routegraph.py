@@ -74,10 +74,6 @@ class RouteGraph:
     def point(self, node: int) -> Point2D:
         return Point2D(float(self.xy[node, 0]), float(self.xy[node, 1]))
 
-    def edges(self) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(np.triu(self.adj, 1))
-        return list(zip(ii.tolist(), jj.tolist()))
-
 
 def pair_distances(xy: np.ndarray) -> np.ndarray:
     """(n, n) Euclidean lengths between all rows of an (n, 2) array."""

@@ -91,7 +91,8 @@ def construct_tours(g, tau, seed=0, m=1, alpha=1.0, beta=3.0, draw=None, model=M
     tau_pow = tau if alpha == 1.0 else np.power(tau, alpha)
     if draw is None:
         draw = aco._Uniforms(random.Random(seed)).take
-    paths, lengths, closed = aco._construct_batch(space, m, tau_pow, draw)
+    paths, lengths = aco._construct_batch(space, m, tau_pow, draw)
+    closed = lengths == paths.shape[1]
     return [(tuple(paths[k, :lengths[k]].tolist()), bool(closed[k])) for k in range(m)]
 
 
@@ -148,6 +149,45 @@ def test_construct_tour_draws_one_random_per_walking_ant():
     assert 0 < sum(closed for _, closed in ants) < 12  # some ants strand
     walking = [int((walked > step).sum()) for step in range(1, g.n_waypoints + 1)]
     assert calls == [k for k in walking if k > 0]
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_every_walk_keeps_the_walk_contract(monkeypatch, listed):
+    # on both steps each walk starts at home, flies only edges and repeats no
+    # node; it is closed exactly when it holds every waypoint and home at both
+    # ends, a walk one short has no edge home, and any shorter walk ends at a
+    # node with no unvisited clear neighbour, checked against g.adj alone
+    tally = Counter()
+    for n in (12, 20, 30):
+        for keep in (0.3, 0.5, 0.7):
+            for seed in range(10):
+                g = random_graph(n, seed, keep)
+                if seed % 2:  # home keeps its edges to every third waypoint only
+                    adj = g.adj.copy()
+                    adj[g.home, :-1] &= np.arange(n - 1) % 3 == 0
+                    adj[:, g.home] = adj[g.home]
+                    g = RouteGraph(g.xy, adj, g.waypoint_grid_ids)
+                if listed:
+                    monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 10))
+                assert aco._Space(g, MODEL, 3.0).listed == listed
+                tau = np.ones((n, n))
+                for nodes, closed in construct_tours(g, tau, seed=seed, m=15):
+                    assert nodes[0] == g.home
+                    assert all(g.adj[a, b] for a, b in zip(nodes, nodes[1:]))
+                    inner = nodes[1:-1] if closed else nodes[1:]
+                    assert len(set(inner)) == len(inner) and g.home not in inner
+                    assert closed == (len(nodes) == g.n_waypoints + 2)
+                    if closed:
+                        assert nodes[-1] == g.home
+                        tally["closed"] += 1
+                    elif len(nodes) == g.n_waypoints + 1:
+                        assert not g.adj[nodes[-1], g.home]
+                        tally["no edge home"] += 1
+                    else:
+                        assert not any(g.adj[nodes[-1], c] for c in range(g.n_waypoints)
+                                       if c not in nodes)
+                        tally["stranded"] += 1
+    assert len(tally) == 3 and sum(tally.values()) == 90 * 15  # every case is reached
 
 
 def test_uniform_blocks_equal_successive_random_calls():
@@ -297,18 +337,47 @@ GOLDEN_CANDIDATE_TOURS = {
 }
 
 
+def walk_digests(g, solver):
+    """(digest of every walk, digest with the result), the run and its number
+    of closed walks, for the golden walk tests."""
+    run, payloads = traced_solve(g, AcoParams(variant=solver, n_ants=12, n_iterations=10,
+                                              seed=5))
+    walks = [[nodes for nodes, _, _ in ants] for *_, ants in payloads]
+    got = tuple(hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+                for x in (walks, (walks, run.best_tour.nodes, run.best_iteration)))
+    return got, run, sum(complete for *_, ants in payloads for *_, complete in ants)
+
+
 @pytest.mark.parametrize("graph,solver", sorted(GOLDEN_CANDIDATE_TOURS))
 def test_golden_tours_on_the_candidate_step(monkeypatch, graph, solver):
     """The candidate-list step maps seeds to the same walks across versions."""
     g = random_graph(*graph)
     monkeypatch.setattr(aco, "_ROW_TABLE_BYTES", budget_for(g, 50))
-    run, payloads = traced_solve(g, AcoParams(variant=solver, n_ants=12, n_iterations=10,
-                                              seed=5))
+    got, run, _ = walk_digests(g, solver)
     assert run.best_tour.is_valid
-    walks = [[nodes for nodes, _, _ in ants] for *_, ants in payloads]
-    got = tuple(hashlib.sha256(repr(x).encode()).hexdigest()[:16]
-                for x in (walks, (walks, run.best_tour.nodes, run.best_iteration)))
     assert got == GOLDEN_CANDIDATE_TOURS[graph, solver]
+
+
+# (graph, solver) -> the same digests as GOLDEN_CANDIDATE_TOURS, and the
+# number of closed walks of 120, on the same graphs within the row budget, so
+# on the full-row step. No walk closes on the 60-node graph, so its result is
+# the fallback, the cheapest stranded walk, for AS and MMAS alike.
+GOLDEN_FULL_ROW_WALKS = {
+    ((50, 4, 0.4), "AS"): ("a78138342da20d20", "54af324e9021b2c9", 26),
+    ((50, 4, 0.4), "MMAS"): ("9d875af13f0c9c1d", "10ea3381408fbdb3", 13),
+    ((60, 2, 0.3), "AS"): ("533700b898af3067", "cfd249408a45d4cf", 0),
+    ((60, 2, 0.3), "MMAS"): ("533700b898af3067", "cfd249408a45d4cf", 0),
+}
+
+
+@pytest.mark.parametrize("graph,solver", sorted(GOLDEN_FULL_ROW_WALKS))
+def test_golden_walks_on_the_full_row_step(graph, solver):
+    """The full-row step maps seeds to the same walks across versions."""
+    g = random_graph(*graph)
+    assert not aco._Space(g, MODEL, 3.0).listed
+    got, run, closed = walk_digests(g, solver)
+    assert run.best_tour.is_valid == (closed > 0)
+    assert (*got, closed) == GOLDEN_FULL_ROW_WALKS[graph, solver]
 
 
 def test_as_deposit_bookkeeping():

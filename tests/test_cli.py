@@ -53,7 +53,7 @@ def test_validate_counts_the_edges_of_each_station_graph(capsys):
     assert "station 1: graph ok, 38 nodes, 401 edges" in lines
     farm = load_map_file(REFERENCE_MAP)
     waypoints = generate_waypoints(farm)
-    assert [len(build_graph(farm, waypoints, k).edges()) for k in (0, 1)] == [404, 401]
+    assert [np.triu(build_graph(farm, waypoints, k).adj, 1).sum() for k in (0, 1)] == [404, 401]
 
 
 def test_validate_schema_error_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from farmpatrol import fleet
 from farmpatrol.aco import AcoParams
 from farmpatrol.energy import EnergyModel
 from farmpatrol.fleet import (
@@ -132,6 +133,31 @@ def test_plan_fleet_dual_seed_derivation():
     assert p1.drones[1].tour == p2.drones[1].tour
     assert p1.drones[0].run.seed == FAST.seed * 2
     assert p1.drones[1].run.seed == FAST.seed * 2 + 1
+
+
+@pytest.mark.parametrize("solver,n_drones,solves", [
+    ("AS", 1, 1), ("MMAS", 1, 1), ("AS", 2, 2), ("MMAS", 2, 2), ("back-and-forth", 2, 0),
+])
+def test_plan_fleet_solves_every_colony_drone_through_fleet_solve(monkeypatch, solver,
+                                                                  n_drones, solves):
+    # the benchmark attaches its trace by wrapping the name fleet.solve, so a
+    # plan that reached the colony another way would zero every traced aco.*
+    # metric while every end-to-end metric stayed green
+    calls, fleet_solve = [], fleet.solve
+
+    def counting(g, *args, **kwargs):
+        calls.append((g, fleet_solve(g, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fleet, "solve", counting)
+    m = reference_farm()
+    plan = plan_fleet(m, generate_waypoints(m), n_drones, solver, MODEL,
+                      AcoParams(n_ants=5, n_iterations=3))
+    assert len(calls) == solves
+    if solves:  # each drone's run is what the wrapper returned for its graph
+        assert all(d.graph is g and d.run is run for d, (g, run) in zip(plan.drones, calls))
+    else:
+        assert all(d.run is None for d in plan.drones)
 
 
 def test_altitude_separation_when_tracks_cross():

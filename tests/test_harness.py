@@ -20,6 +20,10 @@ def open_map(width=100, height=100, stations=((-10, 0),)):
                    tuple(Point2D(*s) for s in stations), 10.0, 38.0)
 
 
+def find_cell(summary, solver, problem):
+    return next(c for c in summary.cells if (c.solver, c.problem) == (solver, problem))
+
+
 def report(solver, problem, seed, valid, cost):
     return TrialReport(solver, problem, seed, valid, cost, cost / 0.1164, 0.0, 1.0)
 
@@ -32,7 +36,7 @@ def test_summarize_stats():
         report("AS", "single", 44, False, 500.0),
     ]
     s = summarize(reports)
-    cell = s.cell("AS", "single")
+    cell = find_cell(s, "AS", "single")
     assert cell.trials_run == 3
     assert cell.trials_valid == 2
     assert cell.mean_cost_kj == pytest.approx(160.0)
@@ -41,14 +45,14 @@ def test_summarize_stats():
     assert cell.stddev_cost_kj == pytest.approx(statistics.pstdev([150.0, 170.0]))
     assert cell.baseline_cost_kj == 200.0
     assert cell.improvement_pct == pytest.approx(20.0)
-    base = s.cell("back-and-forth", "single")
+    base = find_cell(s, "back-and-forth", "single")
     assert base.improvement_pct is None
     assert base.trials_valid == 1
 
 
 def test_summarize_no_valid_trials():
     reports = [report("MMAS", "dual", 1, False, 90.0)]
-    cell = summarize(reports).cell("MMAS", "dual")
+    cell = find_cell(summarize(reports), "MMAS", "dual")
     assert cell.trials_run == 1 and cell.trials_valid == 0
     assert cell.mean_cost_kj is None
     assert cell.error == "no valid solutions"
@@ -90,17 +94,17 @@ def test_run_benchmark_dual_cell_error_with_one_station():
     summary, reports, _ = run_benchmark(open_map(), cfg)
     assert all(r.problem == "single" for r in reports)
     for solver in ("AS", "MMAS", "back-and-forth"):
-        cell = summary.cell(solver, "dual")
+        cell = find_cell(summary, solver, "dual")
         assert cell.trials_run == 0
         assert "station" in cell.error
-    assert summary.cell("AS", "single").trials_valid == 2
+    assert find_cell(summary, "AS", "single").trials_valid == 2
 
 
 def test_run_benchmark_dual_runs_with_two_stations():
     m = open_map(120, 40, stations=((0, 20), (114, 20)))
     cfg = BenchConfig(n_trials=2, aco=FAST_ACO)
     summary, reports, best = run_benchmark(m, cfg)
-    dual = summary.cell("AS", "dual")
+    dual = find_cell(summary, "AS", "dual")
     assert dual.trials_run == 2
     assert dual.trials_valid >= 1
     assert best[("back-and-forth", "dual")].drones[0].station == 0
