@@ -1,7 +1,8 @@
-"""Planar primitives for the planner: points, segments, obstacle shapes,
-distances, turn angles and clearance queries.
+"""Planar primitives for the planner: points, obstacle shapes, distances,
+turn angles and clearance queries.
 
-All coordinates are metres in a fixed east/north frame. Angles returned by
+All coordinates are metres in a fixed east/north frame. A segment (a flight
+leg) is its two endpoints, passed as two points. Angles returned by
 :func:`turn_angle_deg` are heading changes in degrees within [0, 180].
 
 :func:`point_clearance` and :func:`min_clearance` are the one clearance
@@ -26,16 +27,6 @@ class Point2D:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True, slots=True)
-class Segment2D:
-    a: Point2D
-    b: Point2D
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("degenerate segment: endpoints coincide")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,17 +130,18 @@ def point_clearance(p: Point2D, obstacle: Obstacle) -> float:
     return math.hypot(max(lo.x - p.x, 0.0, p.x - hi.x), max(lo.y - p.y, 0.0, p.y - hi.y))
 
 
-def min_clearance(seg: Segment2D, obstacle: Obstacle) -> float:
-    """Smallest distance between any point of seg and the obstacle region.
+def min_clearance(a: Point2D, b: Point2D, obstacle: Obstacle) -> float:
+    """Smallest distance between any point of the leg a-b and the obstacle region.
 
-    0 when the segment crosses, touches or lies inside the obstacle.
+    0 when the leg crosses, touches or lies inside the obstacle. A leg of
+    zero length (a == b) measures exactly as its point does under
+    point_clearance.
     """
     if isinstance(obstacle, Circle):
-        d = point_segment_distance(obstacle.center, seg.a, seg.b)
+        d = point_segment_distance(obstacle.center, a, b)
         return max(0.0, d - obstacle.radius)
     # rectangle: a leg that crosses no edge lies clear of the box or inside
     # it, and comes nearest at an endpoint or where a corner nears the leg
-    a, b = seg.a, seg.b
     corners = obstacle.corners()
     if any(segments_intersect(a, b, p, q) for p, q in zip(corners, corners[1:] + corners[:1])):
         return 0.0

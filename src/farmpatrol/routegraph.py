@@ -9,25 +9,24 @@ detours, found with :func:`shortest_detour`.
 The build is a broad phase and a narrow phase. A numpy screen
 (:func:`geometry.near_boxes`) compares the box of each leg with the box of
 each obstacle, widened by clear_m and a rounding margin; a leg whose box
-stays that far from every obstacle is an edge at once. Every other leg runs
-the exact scalar :func:`geometry.min_clearance` against the obstacles its box
-comes near, in obstacle order, up to the first that blocks it. The gap
-between boxes is a lower bound on the distance, and the margin covers the
-rounding of both tests, so the screen only skips tests that would pass: the
-graph is the one the exact test alone gives.
+stays that far from every obstacle is an edge at once. The exact scalar
+:func:`geometry.min_clearance` then runs obstacle by obstacle, in map order,
+on each leg whose box comes near the obstacle and that no earlier obstacle
+has blocked, so every leg stops at its first blocker. The gap between boxes
+is a lower bound on the distance, and the margin covers the rounding of both
+tests, so the screen only skips tests that would pass: the graph is the one
+the exact test alone gives.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
-from .geometry import Point2D, Segment2D, min_clearance, near_boxes, obstacle_boxes
+from .geometry import Point2D, min_clearance, near_boxes, obstacle_boxes
 from .world import FarmMap, WaypointSet
 
 
@@ -92,9 +91,10 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
     its message names the first few, its unreachable attribute all of them.
 
     Node i's legs to the later nodes are screened together against the
-    obstacle boxes (see the module docstring); min_clearance runs only for a
-    leg and an obstacle the screen keeps, so its temporaries grow with the
-    nodes times the obstacles, never with the pairs times the obstacles.
+    obstacle boxes (see the module docstring), so the temporaries grow with
+    the nodes times the obstacles, never with the pairs times the obstacles.
+    min_clearance then runs obstacle by obstacle on the legs the screen keeps
+    near it, each only while no earlier obstacle has blocked it.
     """
     if not 0 <= station < len(farm.stations):
         raise ValueError(f"station index {station} out of range "
@@ -119,11 +119,12 @@ def build_graph(farm: FarmMap, waypoints: WaypointSet, station: int,
         rest = xy[i + 1:]
         clear = ~(rest == xy[i]).all(axis=1)  # coincident nodes cannot share a flyable edge
         near = near_boxes(np.minimum(xy[i], rest), np.maximum(xy[i], rest), boxes, need)
-        jj, kk = np.nonzero(near & clear[:, None])  # by leg, then in obstacle order
-        for j, hits in groupby(zip(jj.tolist(), kk.tolist()), key=itemgetter(0)):
-            seg = Segment2D(pts[i], pts[i + 1 + j])
-            clear[j] = all(min_clearance(seg, farm.obstacles[k]) >= need for _, k in hits)
-        adj[i, i + 1:] = adj[i + 1:, i] = clear
+        kk, jj = np.nonzero(near.T & clear)  # by obstacle, then leg
+        ok = clear.tolist()
+        for k, j in zip(kk.tolist(), jj.tolist()):
+            if ok[j]:  # a leg stops at its first blocker
+                ok[j] = min_clearance(pts[i], pts[i + 1 + j], farm.obstacles[k]) >= need
+        adj[i, i + 1:] = adj[i + 1:, i] = ok
 
     home = n - 1
     seen = np.zeros(n, dtype=bool)

@@ -34,7 +34,7 @@ from farmpatrol import (
 )
 from farmpatrol.cli import main as cli_main
 from farmpatrol.energy import path_metrics, tour_cost
-from farmpatrol.geometry import Circle, Rect, Segment2D
+from farmpatrol.geometry import Circle, Rect
 from farmpatrol.routegraph import DisconnectedGraphError
 from farmpatrol.world import MapSchemaError
 
@@ -212,15 +212,15 @@ def test_05_clearance_and_turn_against_oracles():
         for _ in range(1000):
             ax, ay = rng.uniform(0, 300), rng.uniform(0, 200)
             bx, by = rng.uniform(0, 300), rng.uniform(0, 200)
-            seg = Segment2D(Point2D(ax, ay), Point2D(bx, by))
+            leg = (Point2D(ax, ay), Point2D(bx, by))
             if rng.random() < 0.5:
                 cx, cy, r = rng.uniform(0, 300), rng.uniform(0, 200), rng.uniform(1, 40)
-                got = min_clearance(seg, Circle(Point2D(cx, cy), r))
+                got = min_clearance(*leg, Circle(Point2D(cx, cy), r))
                 want = oracles.seg_circle_clearance(ax, ay, bx, by, cx, cy, r)
             else:
                 x0, y0 = rng.uniform(0, 260), rng.uniform(0, 160)
                 x1, y1 = x0 + rng.uniform(2, 60), y0 + rng.uniform(2, 60)
-                got = min_clearance(seg, Rect(Point2D(x0, y0), Point2D(x1, y1)))
+                got = min_clearance(*leg, Rect(Point2D(x0, y0), Point2D(x1, y1)))
                 want = oracles.seg_rect_clearance(ax, ay, bx, by, x0, y0, x1, y1)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from farmpatrol.geometry import (
-    Circle, Point2D, Rect, Segment2D, distance, min_clearance, point_clearance,
+    Circle, Point2D, Rect, distance, min_clearance, point_clearance,
     point_segment_distance, segments_intersect, turn_angle_deg,
 )
 
@@ -47,21 +47,19 @@ def test_turn_angle_range_and_reversal_symmetry():
 
 
 def test_min_clearance_circle_example():
-    seg = Segment2D(P(0, 5), P(10, 5))
-    assert abs(min_clearance(seg, Circle(P(5, 0), 3.0)) - 2.0) < 1e-9
+    assert abs(min_clearance(P(0, 5), P(10, 5), Circle(P(5, 0), 3.0)) - 2.0) < 1e-9
 
 
 def test_min_clearance_rect_example():
-    seg = Segment2D(P(0, 5), P(10, 5))
-    assert abs(min_clearance(seg, Rect(P(2, 0), P(8, 3))) - 2.0) < 1e-9
+    assert abs(min_clearance(P(0, 5), P(10, 5), Rect(P(2, 0), P(8, 3))) - 2.0) < 1e-9
 
 
 def test_min_clearance_zero_when_crossing():
-    seg = Segment2D(P(-10, 0), P(10, 0))
-    assert min_clearance(seg, Circle(P(0, 0), 2.0)) == 0.0
-    assert min_clearance(seg, Rect(P(-1, -1), P(1, 1))) == 0.0
+    a, b = P(-10, 0), P(10, 0)
+    assert min_clearance(a, b, Circle(P(0, 0), 2.0)) == 0.0
+    assert min_clearance(a, b, Rect(P(-1, -1), P(1, 1))) == 0.0
     # fully inside the rectangle
-    assert min_clearance(Segment2D(P(-0.5, 0), P(0.5, 0)), Rect(P(-1, -1), P(1, 1))) == 0.0
+    assert min_clearance(P(-0.5, 0), P(0.5, 0), Rect(P(-1, -1), P(1, 1))) == 0.0
 
 
 def _random_segment(rng):
@@ -69,7 +67,7 @@ def _random_segment(rng):
         a = P(rng.uniform(-50, 50), rng.uniform(-50, 50))
         b = P(rng.uniform(-50, 50), rng.uniform(-50, 50))
         if a != b:
-            return Segment2D(a, b)
+            return a, b
 
 
 def _random_obstacle(rng):
@@ -82,16 +80,16 @@ def _random_obstacle(rng):
 def test_min_clearance_matches_sampling_oracle():
     rng = random.Random(123)
     for _ in range(300):
-        seg = _random_segment(rng)
+        a, b = _random_segment(rng)
         obs = _random_obstacle(rng)
-        got = min_clearance(seg, obs)
+        got = min_clearance(a, b, obs)
         if isinstance(obs, Circle):
             want = oracles.seg_circle_clearance(
-                seg.a.x, seg.a.y, seg.b.x, seg.b.y,
+                a.x, a.y, b.x, b.y,
                 obs.center.x, obs.center.y, obs.radius)
         else:
             want = oracles.seg_rect_clearance(
-                seg.a.x, seg.a.y, seg.b.x, seg.b.y,
+                a.x, a.y, b.x, b.y,
                 obs.min_corner.x, obs.min_corner.y,
                 obs.max_corner.x, obs.max_corner.y)
         assert got == pytest.approx(want, abs=1e-6)
@@ -161,16 +159,31 @@ def test_point_clearance_on_rects_matches_edge_oracle():
 def test_min_clearance_keeps_an_offset_below_an_ulp_of_the_leg():
     # the leg ends 2.66e-144 m below the rectangle's corner
     want = oracles.seg_rect_clearance(0.0, 0.0, 0.001, 0.0, 0.001, 2.66e-144, 0.002, 0.001)
-    got = min_clearance(Segment2D(P(0.0, 0.0), P(0.001, 0.0)),
-                        Rect(P(0.001, 2.66e-144), P(0.002, 0.001)))
+    got = min_clearance(P(0.0, 0.0), P(0.001, 0.0), Rect(P(0.001, 2.66e-144), P(0.002, 0.001)))
     assert want == 2.66e-144
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     # a leg that leads away from a point a hair outside
     for (px, py), (qx, qy), rect in HAIRLINE:
         want = oracles.seg_rect_clearance(px, py, qx, qy, *rect)
-        got = min_clearance(Segment2D(P(px, py), P(qx, qy)), Rect(P(*rect[:2]), P(*rect[2:])))
+        got = min_clearance(P(px, py), P(qx, qy), Rect(P(*rect[:2]), P(*rect[2:])))
         assert want == oracles.point_rect_clearance(px, py, *rect) > 0.0
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_a_zero_length_leg_measures_as_its_point():
+    rng = random.Random(31)
+    points = [P(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(200)]
+    cases = [(p, _random_obstacle(rng)) for p in points]
+    rect, circle = Rect(P(0, 0), P(4, 3)), Circle(P(-1.5, 2.25), 2.5)
+    cases += [
+        (P(1.5, 1.25), rect),  # inside
+        (P(4, 1.75), rect),    # on an edge
+        (P(0, 3), rect),       # at a corner
+        (P(1, 2.25), circle),  # on the circle
+    ]
+    for p, obs in cases:
+        assert min_clearance(p, p, obs) == point_clearance(p, obs)
+    assert [min_clearance(p, p, obs) for p, obs in cases[-4:]] == [0.0] * 4
 
 
 def test_shape_validation():
@@ -178,7 +191,5 @@ def test_shape_validation():
         Circle(P(0, 0), 0.0)
     with pytest.raises(ValueError):
         Rect(P(1, 0), P(0, 1))
-    with pytest.raises(ValueError):
-        Segment2D(P(1, 1), P(1, 1))
     with pytest.raises(ValueError):
         Point2D(math.nan, 0.0)

@@ -19,22 +19,34 @@ def bench():
 
 
 def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests=None,
-             metric="run_s"):
-    """measure() over len(parent) seeds, each run_once replaced by the next
-    value of its side for metric, the parent completing 2 rounds a run and
-    the change 8; the change's last run carries correct and failed, and
-    digests, when given, are the change's per pair."""
+             metric="run_s", work=None, traced_digests=None):
+    """measure() over len(parent) seeds, each timed run_once replaced by the
+    next value of its side for metric, the parent completing 2 rounds a run
+    and the change 8; the change's last run carries correct and failed, and
+    digests, when given, are the change's per pair. Each traced run counts
+    {"calls": 5, "steps": 9}; work, when given, is the change's per pair
+    instead, and traced_digests the change's traced digests per pair (by
+    default its timed run's)."""
     values = {"parent": iter(parent), "change": iter(change)}
     last = len(change) - 1
     seen = {"parent": 0, "change": 0}
+    seen_traced = {"parent": 0, "change": 0}
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, trace=0):
         side = checkout.name
+        digest = digests[seed - 1] if side == "change" and digests else f"d{seed}"
+        if trace:
+            k = seen_traced[side]
+            seen_traced[side] = k + 1
+            counts = work[k] if side == "change" and work else {"calls": 5, "steps": 9}
+            if side == "change" and traced_digests:
+                digest = traced_digests[k]
+            return {"metrics": {metric: 0.0, **counts}, "counts": counts, "digest": digest,
+                    "rounds": 2, "attempted": 10, "failed": 0, "correct": True}
         k = seen[side]
         seen[side] = k + 1
         at_last = side == "change" and k == last
-        return {"metrics": {metric: next(values[side])},
-                "digest": digests[k] if side == "change" and digests else f"d{seed}",
+        return {"metrics": {metric: next(values[side])}, "counts": {}, "digest": digest,
                 "rounds": 2 if side == "parent" else 8,
                 "attempted": 10, "failed": failed if at_last else 0,
                 "correct": correct or not at_last}
@@ -195,3 +207,69 @@ def test_pairs_whose_parent_reads_zero_have_no_ratio(bench, monkeypatch):
     some, none = (result["workloads"][k]["metrics"]["run_s"] for k in ("some", "none"))
     assert some["ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0} and not some["unresolved"]
     assert none["ratio"] is None and not none["unresolved"]
+
+
+def test_each_run_keeps_the_metrics_whose_unit_is_count(bench, monkeypatch):
+    stdout = ("# sweep-survey seed 1: 1 untraced + 1 traced rounds, 12 plans, digest abc\n"
+              + json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": {
+                  "run_s": {"value": 1.5, "unit": "s"},
+                  "routegraph.pairs": {"value": 40, "unit": "count"},
+                  "render.svg_bytes": {"value": 9, "unit": "bytes"}}}) + "\n")
+    calls = []
+
+    def run(args, **kw):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout, "")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    run = bench.run_once(Path("change"), "sweep-survey", 1, 1.0, trace=1)
+    assert run["counts"] == {"routegraph.pairs": 40}
+    assert calls[0][-4:] == ["--seconds", "1.0", "--trace", "1"]
+
+
+def test_traced_runs_follow_each_timed_pair_in_its_order(bench, monkeypatch):
+    order = []
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        order.append((seed, checkout.name, seconds, trace))
+        return {"metrics": {"run_s": 1.0}, "counts": {"calls": 5} if trace else {},
+                "digest": "d", "rounds": 1, "attempted": 1, "failed": 0, "correct": True}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    w = bench.measure({side: Path(side) for side in ("parent", "change")}, "w", [1, 2], 30.0)
+    assert order == [(1, "parent", 30.0, 0), (1, "change", 30.0, 0),
+                     (1, "parent", 1.0, 1), (1, "change", 1.0, 1),
+                     (2, "change", 30.0, 0), (2, "parent", 30.0, 0),
+                     (2, "change", 1.0, 1), (2, "parent", 1.0, 1)]
+    assert w["work"] == {side: [{"calls": 5}] * 2 for side in ("parent", "change")}
+    assert w["same_work"] and w["work_moved"] == []
+    assert list(w["metrics"]) == ["run_s"]  # the timed runs' metrics only
+
+
+def test_same_work_names_the_counts_that_moved_on_any_seed(bench, monkeypatch, capsys):
+    parent = [2.0] * 3
+    base = {"calls": 5, "steps": 9}
+    moved = measured(bench, monkeypatch, parent, parent,
+                     work=[base, {"calls": 5, "steps": 8}, {"calls": 5}])["workloads"]["w"]
+    assert not moved["same_work"] and moved["work_moved"] == ["steps"]
+    assert moved["all_runs_correct"]  # work that moved is no fault in itself
+    added = measured(bench, monkeypatch, parent, parent,
+                     work=[{**base, "hops": 0}, base, base])["workloads"]["w"]
+    assert added["work_moved"] == ["hops"]
+    result = {"workloads": {"moved": moved, "added": added}, "no_regression": True}
+    bench.report(result)
+    err = capsys.readouterr().err.splitlines()
+    assert "work moved on moved: steps" in err and "work moved on added: hops" in err
+
+
+def test_a_traced_run_off_its_sides_digest_is_incorrect(bench, monkeypatch):
+    parent = [2.0 + 0.01 * k for k in range(10)]
+    change = [p - 0.5 for p in parent]
+    same = measured(bench, monkeypatch, parent, change)
+    assert same["workloads"]["w"]["all_runs_correct"]
+    assert bench.claim(same, "w", "run_s", "lower")["met"]
+    off = measured(bench, monkeypatch, parent, change,
+                   traced_digests=[f"d{seed}" for seed in range(1, 10)] + ["x"])
+    assert off["workloads"]["w"]["same_tours"]  # the timed digests still agree
+    assert not off["workloads"]["w"]["all_runs_correct"]
+    assert not bench.claim(off, "w", "run_s", "lower")["met"]

@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from farmpatrol import routegraph
 from farmpatrol.fleet import plan_fleet
-from farmpatrol.geometry import Circle, Point2D, Rect, Segment2D, min_clearance
+from farmpatrol.geometry import Circle, Point2D, Rect, min_clearance
 from farmpatrol.routegraph import (DisconnectedGraphError, RouteGraph, build_graph,
                                   pair_distances, shortest_detour)
-from farmpatrol.world import FarmMap, generate_waypoints
+from farmpatrol.world import FarmMap, generate_waypoints, reference_farm
 
 
 def make_map(width=100, height=100, obstacles=(), stations=((90, 90),),
@@ -86,8 +87,7 @@ def test_zero_clearance_prunes_legs_that_touch_or_cross_obstacles():
     (drone,) = plan.drones
     nodes = drone.tour.nodes
     for a, b in zip(nodes, nodes[1:]):
-        leg = Segment2D(g.point(a), g.point(b))
-        assert all(min_clearance(leg, obs) > 0 for obs in obstacles)
+        assert all(min_clearance(g.point(a), g.point(b), obs) > 0 for obs in obstacles)
 
 
 def test_enclosed_waypoint_raises_disconnected():
@@ -191,6 +191,26 @@ def test_rebuild_is_deterministic():
     assert np.array_equal(g1.adj, g2.adj)
     assert np.array_equal(g1.xy, g2.xy)
     assert g1.waypoint_grid_ids == g2.waypoint_grid_ids
+
+
+def test_the_reference_farm_runs_a_pinned_number_of_exact_tests(monkeypatch):
+    # the call perfbench counts as geometry.min_clearance_calls; a change to
+    # the screen that moves these counts updates them on purpose
+    calls = []
+
+    def counted(a, b, obstacle):
+        calls.append(1)
+        return min_clearance(a, b, obstacle)
+
+    monkeypatch.setattr(routegraph, "min_clearance", counted)
+    farm = reference_farm()
+    waypoints = generate_waypoints(farm)
+    tests = []
+    for station in (0, 1):
+        calls.clear()
+        build_graph(farm, waypoints, station)
+        tests.append(len(calls))
+    assert tests == [800, 797]
 
 
 def test_edge_lengths_are_euclidean():

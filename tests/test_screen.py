@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from farmpatrol.geometry import (Circle, Point2D, Rect, Segment2D, min_clearance, near_boxes,
+from farmpatrol.geometry import (Circle, Point2D, Rect, min_clearance, near_boxes,
                                  obstacle_boxes, point_clearance)
 from farmpatrol.routegraph import DisconnectedGraphError, build_graph
 from farmpatrol.world import MapSchemaError, generate_waypoints, load_map
@@ -33,10 +33,6 @@ def screened(a: Point2D, b: Point2D, obstacle, need: float) -> bool:
     xy = np.array([[a.x, a.y], [b.x, b.y]])
     return bool(near_boxes(xy.min(axis=0)[None], xy.max(axis=0)[None],
                            obstacle_boxes([obstacle]), need)[0, 0])
-
-
-def clearance(a: Point2D, b: Point2D, obstacle) -> float:
-    return point_clearance(a, obstacle) if a == b else min_clearance(Segment2D(a, b), obstacle)
 
 
 @st.composite
@@ -104,7 +100,7 @@ def at_the_threshold(draw):
           math.ulp(0.0)))
 def test_the_screen_skips_only_what_the_exact_test_clears(case):
     a, b, obstacle, need = case
-    assert screened(a, b, obstacle, need) or clearance(a, b, obstacle) >= need
+    assert screened(a, b, obstacle, need) or min_clearance(a, b, obstacle) >= need
 
 
 def test_the_screen_skips_a_box_past_its_margin():
@@ -130,8 +126,7 @@ def plain_graph(farm, waypoints, station, include):
     for i in range(n):
         for j in range(i + 1, n):
             if pts[i] != pts[j]:
-                seg = Segment2D(pts[i], pts[j])
-                adj[i, j] = adj[j, i] = all(min_clearance(seg, obs) >= farm.clear_m
+                adj[i, j] = adj[j, i] = all(min_clearance(pts[i], pts[j], obs) >= farm.clear_m
                                             for obs in farm.obstacles)
     seen, todo = {n - 1}, [n - 1]
     while todo:

@@ -16,7 +16,13 @@ same_tours (every seed's change digest equals the parent's), and rounds, the
 rounds each run completed, and rounds_median, their median per side
 (perfbench keeps every round's plans to the end of a run, so peak_rss_mb
 grows with them; where peak_rss_mb regressed or is unresolved, stderr prints
-those medians beside it). Every run
+those medians beside it). Beside each pair of timed runs, in the same order,
+each side also runs once with `--seconds 1 --trace 1`, and the output keeps
+that run's per-layer metrics whose unit is count, per side and seed, as
+work: same_work says every count is equal on every seed, and work_moved
+names the counts that differ on some seed (stderr lists them). Counts of
+work do not drift with the load on the machine as timings do. A traced run
+whose digest differs from its side's timed run is incorrect. Every run
 also records, per workload and end-to-end metric, regressed: the change's
 median is worse than the parent's by more than the metric's BENCHMARK.json
 bound, a share of the parent's median, in the metric's better direction;
@@ -59,10 +65,11 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its metrics, digest, attempted/failed and correctness."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run: its metrics, the values of those whose unit is
+    count, its digest, attempted/failed and correctness."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -71,6 +78,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     found = re.search(r"digest (\w+)", proc.stdout)
     rounds = re.search(r"(\d+) untraced \+ (\d+) traced rounds", proc.stdout)
     return {"metrics": {k: v["value"] for k, v in out["metrics"].items()},
+            "counts": {k: v["value"] for k, v in out["metrics"].items() if v["unit"] == "count"},
             "digest": found.group(1) if found else None,
             "rounds": sum(map(int, rounds.groups())) if rounds else None,
             "attempted": out["attempted"], "failed": out["failed"],
@@ -91,8 +99,16 @@ def median_rounds(runs: list[dict]) -> float | None:
     return statistics.median(rounds) if rounds else None
 
 
+def moved_counts(work: dict) -> list[str]:
+    """The count names whose value differs between the sides on some seed
+    (a count one side lacks differs), sorted."""
+    return sorted({name for p, c in zip(work["parent"], work["change"])
+                   for name in p.keys() | c.keys() if p.get(name) != c.get(name)})
+
+
 def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict:
     runs = {side: [] for side in SIDES}
+    traced = {side: [] for side in SIDES}
     first = {}
     for k, seed in enumerate(seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -100,6 +116,10 @@ def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict
         for side in order:
             runs[side].append(run_once(dirs[side], workload, seed, seconds))
             print(f"{workload} seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+        for side in order:
+            run = run_once(dirs[side], workload, seed, 1.0, trace=1)
+            run["correct"] = run["correct"] and run["digest"] == runs[side][-1]["digest"]
+            traced[side].append(run)
     metrics = {}
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
@@ -109,9 +129,11 @@ def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict
             "parent_runs": values["parent"], "change_runs": values["change"],
             "change_lower": sum(c < p for p, c in pairs), "ties": sum(c == p for p, c in pairs)}
     digests = {side: dict(zip(seeds, (r["digest"] for r in runs[side]))) for side in SIDES}
+    work = {side: [r["counts"] for r in traced[side]] for side in SIDES}
+    moved = moved_counts(work)
     return {
         "seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
-        "all_runs_correct": all(r["correct"] for side in SIDES for r in runs[side]),
+        "all_runs_correct": all(r["correct"] for side in SIDES for r in runs[side] + traced[side]),
         "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
@@ -119,6 +141,9 @@ def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict
         "metrics": metrics,
         "digests": digests,
         "same_tours": digests["parent"] == digests["change"],
+        "work": work,
+        "same_work": not moved,
+        "work_moved": moved,
     }
 
 
@@ -167,10 +192,13 @@ def regressions(result: dict, spec: dict) -> None:
 
 
 def report(result: dict) -> None:
-    """Print no_regression, each workload's unresolved metrics and, where
-    peak_rss_mb regressed or is unresolved, the median rounds per side."""
+    """Print no_regression, each workload's unresolved metrics and moved
+    counts and, where peak_rss_mb regressed or is unresolved, the median
+    rounds per side."""
     print(f"no_regression: {result['no_regression']}", file=sys.stderr)
     for workload, w in result["workloads"].items():
+        if w.get("work_moved"):  # absent in files older than the field
+            print(f"work moved on {workload}: {', '.join(w['work_moved'])}", file=sys.stderr)
         unresolved = [name for name, m in w["metrics"].items() if m.get("unresolved")]
         if unresolved:
             print(f"unresolved on {workload}: {', '.join(unresolved)}", file=sys.stderr)
@@ -206,7 +234,9 @@ def main(argv=None) -> int:
                    f"{platform.python_version()}, numpy {importlib.metadata.version('numpy')}, "
                    f"{os.cpu_count()} CPUs, one run at a time",
         "method": "parent and change checkouts run alternately by tools/paired_bench.py, "
-                  "the first of each pair alternating, parent first on the first pair",
+                  "the first of each pair alternating, parent first on the first pair; "
+                  "after each pair, one --seconds 1 --trace 1 run per side in the same "
+                  "order gives the work counts",
     })
     if args.label:
         result["label"] = args.label
