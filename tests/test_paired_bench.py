@@ -41,7 +41,7 @@ def measured(bench, monkeypatch, parent, change, correct=True, failed=0, digests
             counts = work[k] if side == "change" and work else {"calls": 5, "steps": 9}
             if side == "change" and traced_digests:
                 digest = traced_digests[k]
-            return {"metrics": {metric: 0.0, **counts}, "counts": counts, "digest": digest,
+            return {"metrics": counts, "counts": counts, "digest": digest,
                     "rounds": 2, "attempted": 10, "failed": 0, "correct": True}
         k = seen[side]
         seen[side] = k + 1

@@ -99,13 +99,6 @@ def median_rounds(runs: list[dict]) -> float | None:
     return statistics.median(rounds) if rounds else None
 
 
-def moved_counts(work: dict) -> list[str]:
-    """The count names whose value differs between the sides on some seed
-    (a count one side lacks differs), sorted."""
-    return sorted({name for p, c in zip(work["parent"], work["change"])
-                   for name in p.keys() | c.keys() if p.get(name) != c.get(name)})
-
-
 def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict:
     runs = {side: [] for side in SIDES}
     traced = {side: [] for side in SIDES}
@@ -130,7 +123,9 @@ def measure(dirs: dict, workload: str, seeds: list[int], seconds: float) -> dict
             "change_lower": sum(c < p for p, c in pairs), "ties": sum(c == p for p, c in pairs)}
     digests = {side: dict(zip(seeds, (r["digest"] for r in runs[side]))) for side in SIDES}
     work = {side: [r["counts"] for r in traced[side]] for side in SIDES}
-    moved = moved_counts(work)
+    # a count that one side lacks has moved too
+    moved = sorted({name for p, c in zip(work["parent"], work["change"])
+                    for name in p.keys() | c.keys() if p.get(name) != c.get(name)})
     return {
         "seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
         "all_runs_correct": all(r["correct"] for side in SIDES for r in runs[side] + traced[side]),
